@@ -1,6 +1,7 @@
 #include "cluster/silhouette.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 

@@ -35,6 +35,7 @@ AccessPatternGen::AccessPatternGen(const AccessPatternParams& params,
     throw std::invalid_argument("AccessPatternGen: stride must be > 0");
   }
 
+  slot_count_ = slots();
   switch (params_.kind) {
     case AccessPatternKind::PointerChase: {
       // Random Hamiltonian cycle over line-sized slots: dependent accesses
@@ -75,7 +76,7 @@ std::uint64_t AccessPatternGen::next() {
     case AccessPatternKind::Sequential:
     case AccessPatternKind::Strided: {
       const std::uint64_t addr = base_ + cursor_;
-      cursor_ = (cursor_ + params_.stride_bytes) % ws;
+      advance_cursor();
       return addr & ~std::uint64_t{7};
     }
     case AccessPatternKind::RandomUniform: {
@@ -95,14 +96,14 @@ std::uint64_t AccessPatternGen::next() {
                                    static_cast<std::ptrdiff_t>(zipf_objects_) - 1));
       // Scatter ranks across the working set so hot objects do not share
       // cache sets.
-      const std::uint64_t slot = (rank * 2654435761ull) % slots();
+      const std::uint64_t slot = (rank * 2654435761ull) % slot_count_;
       return base_ + slot * kSlotBytes;
     }
     case AccessPatternKind::GraphTraversal: {
       if (rng_.bernoulli(params_.jump_prob)) {
         cursor_ = rng_.uniform_int(0, ws / 8 - 1) * 8;
       } else {
-        cursor_ = (cursor_ + params_.stride_bytes) % ws;
+        advance_cursor();
       }
       return (base_ + cursor_) & ~std::uint64_t{7};
     }

@@ -46,16 +46,26 @@ class AccessPatternGen {
   std::uint64_t next();
 
   const AccessPatternParams& params() const noexcept { return params_; }
+  /// Engine outputs this stream has drawn.
+  std::uint64_t rng_draws() const noexcept { return rng_.draws(); }
 
  private:
   static constexpr std::uint64_t kSlotBytes = 64;  // pointer-chase node size
   static constexpr std::uint64_t kMaxZipfObjects = 1 << 14;
 
   std::uint64_t slots() const;
+  /// cursor_ = (cursor_ + stride) % working set, dividing only on a wrap.
+  void advance_cursor() {
+    cursor_ += params_.stride_bytes;
+    if (cursor_ >= params_.working_set_bytes) {
+      cursor_ %= params_.working_set_bytes;
+    }
+  }
 
   AccessPatternParams params_;
   std::uint64_t base_;
   stats::Rng rng_;
+  std::uint64_t slot_count_ = 0;  // slots(), fixed at construction
   std::uint64_t cursor_ = 0;  // byte offset (Sequential/Strided/Graph)
   std::uint64_t chase_slot_ = 0;
   std::vector<std::uint32_t> chase_next_;  // successor slot per slot

@@ -59,15 +59,9 @@ void CacheHierarchy::maybe_prefetch(std::uint64_t address) {
   }
 }
 
-HierarchyAccess CacheHierarchy::access(std::uint64_t address,
-                                       AccessType type) {
+HierarchyAccess CacheHierarchy::access_past_l1(std::uint64_t address,
+                                               AccessType type) {
   HierarchyAccess out;
-  if (l1_.access(address, type)) {
-    out.level = HitLevel::L1;
-    out.latency_cycles = config_.l1_hit_cycles;
-    return out;
-  }
-
   // L1 miss: consult the prefetcher (trained on the demand miss stream).
   maybe_prefetch(address);
 

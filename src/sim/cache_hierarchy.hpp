@@ -44,8 +44,14 @@ class CacheHierarchy {
                           Cache* shared_llc = nullptr);
 
   /// Performs a data access at `address`; fills all levels on the way back
-  /// and triggers the configured prefetcher on L1 misses.
-  HierarchyAccess access(std::uint64_t address, AccessType type);
+  /// and triggers the configured prefetcher on L1 misses. The L1 hit is
+  /// handled inline; everything past it is out of line.
+  HierarchyAccess access(std::uint64_t address, AccessType type) {
+    if (l1_.access(address, type)) {
+      return {.level = HitLevel::L1, .latency_cycles = config_.l1_hit_cycles};
+    }
+    return access_past_l1(address, type);
+  }
 
   const CacheStats& l1_stats() const { return l1_.stats(); }
   const CacheStats& l2_stats() const { return l2_.stats(); }
@@ -53,11 +59,20 @@ class CacheHierarchy {
   const CacheStats& llc_stats() const { return llc_local_stats_; }
   const PrefetchStats& prefetch_stats() const { return prefetch_stats_; }
   bool llc_is_shared() const noexcept { return owned_llc_ == nullptr; }
+  /// Random-policy victim draws of this core's private levels (L1, L2 and
+  /// an owned LLC).
+  std::uint64_t rng_draws() const noexcept {
+    return l1_.rng_draws() + l2_.rng_draws() +
+           (owned_llc_ ? owned_llc_->rng_draws() : 0);
+  }
 
   void flush();
   void reset_stats();
 
  private:
+  /// The L1-miss remainder of access().
+  HierarchyAccess access_past_l1(std::uint64_t address, AccessType type);
+
   /// Runs the prefetch predictor for a demand miss at `address`; issues
   /// fills into L2/LLC for predicted lines.
   void maybe_prefetch(std::uint64_t address);

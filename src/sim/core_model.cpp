@@ -61,6 +61,7 @@ void CoreModel::start_phase(const PhaseSpec& phase, std::size_t phase_index) {
   // the sampled counter series.
   const std::uint64_t region_base =
       address_offset_ + ((static_cast<std::uint64_t>(phase_index) + 1) << 34);
+  if (phase_) retired_pattern_draws_ += phase_->pattern->rng_draws();
   state.pattern.emplace(phase.pattern, region_base, rng_.fork());
 
   // Per-site loop periods derived from the phase's taken probability:
@@ -95,7 +96,11 @@ void CoreModel::step(std::uint64_t instructions, PmuSampler* sampler) {
     throw std::logic_error("CoreModel::step: no phase started");
   }
   PhaseState& state = *phase_;
+  // Count down to the next multiple of the sampling interval instead of
+  // taking a modulo per instruction; without a sampler it never expires.
   const std::uint64_t interval = sampler ? sampler->interval() : 0;
+  std::uint64_t to_sample = interval != 0 ? interval - instructions_ % interval
+                                          : ~std::uint64_t{0};
 
   for (std::uint64_t i = 0; i < instructions; ++i) {
     ++instructions_;
@@ -149,8 +154,9 @@ void CoreModel::step(std::uint64_t instructions, PmuSampler* sampler) {
     }
     // Remainder: integer ALU, base cost only.
 
-    if (interval != 0 && instructions_ % interval == 0) {
+    if (--to_sample == 0) {
       sampler->maybe_sample(instructions_, counters());
+      to_sample = interval;
     }
   }
 }
@@ -159,6 +165,17 @@ void CoreModel::run_phase(const PhaseSpec& phase, std::uint64_t instructions,
                           std::size_t phase_index, PmuSampler* sampler) {
   start_phase(phase, phase_index);
   step(instructions, sampler);
+}
+
+SimWork CoreModel::work() const {
+  return {.l1_accesses = caches_.l1_stats().accesses(),
+          .l2_accesses = caches_.l2_stats().accesses(),
+          .llc_accesses = caches_.llc_stats().accesses(),
+          .tlb_walks = tlb_.stats().page_walks,
+          .rng_draws = rng_.draws() + background_.rng_draws() +
+                       retired_pattern_draws_ +
+                       (phase_ ? phase_->pattern->rng_draws() : 0) +
+                       caches_.rng_draws()};
 }
 
 PmuCounterSet CoreModel::counters() const {

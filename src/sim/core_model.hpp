@@ -27,6 +27,17 @@
 
 namespace perspector::sim {
 
+/// Work a simulation did, counted from the model's own state: it depends
+/// only on the workload, machine and seed, never on the host, so benches
+/// can gate on it exactly.
+struct SimWork {
+  std::uint64_t l1_accesses = 0;   // demand accesses per cache level
+  std::uint64_t l2_accesses = 0;
+  std::uint64_t llc_accesses = 0;
+  std::uint64_t tlb_walks = 0;     // STLB misses
+  std::uint64_t rng_draws = 0;     // engine outputs, all streams
+};
+
 /// One core running one workload; microarchitectural state (caches, TLB,
 /// predictor, resident pages) persists across phases, as it would on real
 /// hardware. Pass a `shared_llc` to model several cores behind one LLC
@@ -65,6 +76,11 @@ class CoreModel {
                           : static_cast<double>(instructions_) / cycles_;
   }
 
+  /// Work done so far. RNG draws cover every stream of this core: its
+  /// own, the background and phase address streams (current and finished
+  /// phases), and the private caches' Random-policy victims.
+  SimWork work() const;
+
   const CacheHierarchy& caches() const noexcept { return caches_; }
   const Tlb& tlb() const noexcept { return tlb_; }
   const BranchPredictor& predictor() const noexcept { return *predictor_; }
@@ -97,6 +113,7 @@ class CoreModel {
   };
   std::optional<PhaseState> phase_;
   std::uint64_t address_offset_ = 0;
+  std::uint64_t retired_pattern_draws_ = 0;  // streams of finished phases
 
   std::uint64_t instructions_ = 0;
   double cycles_ = 0.0;

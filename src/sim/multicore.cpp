@@ -1,12 +1,12 @@
 #include "sim/multicore.hpp"
 
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 
 #include "sim/cache.hpp"
 #include "sim/core_model.hpp"
+#include "stats/rng.hpp"
 
 namespace perspector::sim {
 
@@ -69,7 +69,7 @@ std::vector<SimResult> simulate_colocated(
     // Distinct address offset per core: co-located processes do not share
     // their data regions.
     lane.core = std::make_unique<CoreModel>(
-        machine, options.seed ^ std::hash<std::string>{}(workloads[i].name),
+        machine, options.seed ^ stats::hash_bytes(workloads[i].name),
         &shared_llc, static_cast<std::uint64_t>(i) << 44);
     if (options.collect_series) {
       lane.sampler = std::make_unique<PmuSampler>(options.sample_interval);
@@ -115,6 +115,7 @@ std::vector<SimResult> simulate_colocated(
     result.totals = lane.core->counters();
     result.instructions = lane.core->instructions_retired();
     result.cycles = lane.core->cycles();
+    result.work = lane.core->work();
     if (lane.sampler) result.series = lane.sampler->all_series();
     results.push_back(std::move(result));
   }

@@ -1,19 +1,21 @@
 #include "sim/simulator.hpp"
 
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "par/parallel.hpp"
+#include "stats/rng.hpp"
 
 namespace perspector::sim {
 
 namespace {
 
+// Hashes the name in-repo (libstdc++'s std::hash<std::string> function),
+// so every standard library derives the same seeds and counters.
 std::uint64_t workload_seed(std::uint64_t base, const std::string& name) {
-  return base ^ std::hash<std::string>{}(name);
+  return base ^ stats::hash_bytes(name);
 }
 
 }  // namespace
@@ -68,6 +70,7 @@ SimResult simulate(const WorkloadSpec& workload, const MachineConfig& machine,
   result.totals = core.counters();
   result.instructions = core.instructions_retired();
   result.cycles = core.cycles();
+  result.work = core.work();
   if (options.collect_series) result.series = sampler.all_series();
   return result;
 }

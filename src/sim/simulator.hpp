@@ -35,6 +35,7 @@ struct SimResult {
   std::vector<std::vector<double>> series;
   std::uint64_t instructions = 0;
   double cycles = 0.0;
+  SimWork work;
 
   double ipc() const {
     return cycles <= 0.0 ? 0.0 : static_cast<double>(instructions) / cycles;

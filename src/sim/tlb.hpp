@@ -37,30 +37,58 @@ class Tlb {
       std::uint64_t page_bytes, std::uint32_t stlb_hit_cycles,
       std::uint32_t page_walk_cycles);
 
-  /// Translates a byte address; `is_store` routes statistics.
-  TlbAccess access(std::uint64_t address, bool is_store);
+  /// Translates a byte address; `is_store` routes statistics. The L1
+  /// dTLB hit is handled inline.
+  TlbAccess access(std::uint64_t address, bool is_store) {
+    const std::uint64_t page = address >> page_shift_;
+    if (is_store) {
+      ++stats_.stores;
+    } else {
+      ++stats_.loads;
+    }
+    if (l1_.access_and_fill(page)) return {.l1_hit = true};
+    return miss_l1(page, is_store);
+  }
 
   const TlbStats& stats() const noexcept { return stats_; }
   void reset_stats() { stats_ = TlbStats{}; }
   void flush();
 
  private:
-  // A single set-associative translation array over page numbers.
+  // A single set-associative translation array over page numbers, stored
+  // structure-of-arrays: page tags (kEmptyPage = empty way) and LRU stamps
+  // (0 = never used), row-major by set.
   struct Level {
+    static constexpr std::uint64_t kEmptyPage = ~std::uint64_t{0};
+
     explicit Level(const TlbGeometry& geometry);
-    bool access_and_fill(std::uint64_t page);  // true on hit; fills on miss
+    /// True on hit; fills the LRU way on a miss.
+    bool access_and_fill(std::uint64_t page) {
+      const std::size_t base = static_cast<std::size_t>(page & set_mask) * ways;
+      ++clock;
+      const std::uint64_t* tags = pages.data() + base;
+      for (std::uint32_t w = 0; w < ways; ++w) {
+        if (tags[w] == page) {
+          stamps[base + w] = clock;
+          return true;
+        }
+      }
+      fill(base, page);
+      return false;
+    }
+    /// Replaces the set's first empty way, else its least recently used.
+    void fill(std::size_t base, std::uint64_t page);
     void flush();
 
     std::uint32_t ways;
-    std::uint64_t sets;
+    std::uint64_t set_mask;
     std::uint64_t clock = 0;
-    struct Entry {
-      std::uint64_t page = 0;
-      std::uint64_t lru = 0;
-      bool valid = false;
-    };
-    std::vector<Entry> entries;
+    std::vector<std::uint64_t> pages;
+    std::vector<std::uint64_t> stamps;
   };
+
+  /// The L1-dTLB-miss remainder of access().
+  TlbAccess miss_l1(std::uint64_t page, bool is_store);
 
   Level l1_;
   Level stlb_;

@@ -5,7 +5,6 @@
 // found substantial redundancy between the rate and speed halves, and the
 // paper's subset experiment (Section IV-C) exploits exactly that.
 #include <algorithm>
-#include <functional>
 
 #include "stats/rng.hpp"
 #include "suites/builders.hpp"
@@ -25,7 +24,7 @@ sim::WorkloadSpec scaled_variant(const sim::WorkloadSpec& base,
                                  std::string name, double factor) {
   sim::WorkloadSpec w = base;
   w.name = std::move(name);
-  stats::Rng jitter(std::hash<std::string>{}(w.name));
+  stats::Rng jitter(stats::hash_bytes(w.name));
   for (auto& phase : w.phases) {
     const double ws = static_cast<double>(phase.pattern.working_set_bytes);
     phase.pattern.working_set_bytes =

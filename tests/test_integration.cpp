@@ -3,6 +3,8 @@
 // rely on.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/counter_matrix.hpp"
 #include "core/event_group.hpp"
 #include "core/perspector.hpp"

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
 #include <stdexcept>
+#include <string>
+
+#include "suites/suite_factory.hpp"
 
 namespace perspector::stats {
 namespace {
@@ -134,6 +140,123 @@ TEST(Rng, ForkIsDeterministic) {
   for (int i = 0; i < 20; ++i) {
     EXPECT_DOUBLE_EQ(ca.uniform(), cb.uniform());
   }
+}
+
+TEST(Mt19937_64, MatchesTheStandardEngineForManySeeds) {
+  for (std::uint64_t seed : {0ull, 1ull, 5489ull, 0x9e3779b97f4a7c15ull,
+                             ~0ull}) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 reference(seed);
+    // Several refills, so every twist loop and the wrap-around run.
+    for (int i = 0; i < 3 * 312 + 7; ++i) {
+      ASSERT_EQ(ours(), reference()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, DrawsAreCountedFromTheBlockPosition) {
+  Mt19937_64 engine(3);
+  EXPECT_EQ(engine.draws(), 0u);
+  for (int i = 0; i < 1000; ++i) engine();
+  EXPECT_EQ(engine.draws(), 1000u);
+
+  // Each draw kind consumes whole engine outputs; uniform_int may reject.
+  Rng rng(4);
+  rng.uniform();
+  rng.bernoulli(0.5);
+  rng.uniform_int(0, 9);
+  (void)rng.fork();
+  EXPECT_EQ(rng.draws(), 4u);
+  std::uint64_t expected = rng.draws();
+  for (int i = 0; i < 200; ++i) {
+    Rng probe = rng;  // replay the same stream to count its rejections
+    const std::uint64_t before = probe.draws();
+    probe.uniform_int(0, 1ull << 63);
+    expected += probe.draws() - before;
+    rng.uniform_int(0, 1ull << 63);
+  }
+  EXPECT_EQ(rng.draws(), expected);
+  EXPECT_GT(expected, 4u + 200u);  // [0, 2^63] rejects about half
+  EXPECT_LE(sizeof(Rng), sizeof(std::mt19937_64));
+}
+
+#if defined(__GLIBCXX__)
+// The facade promises libstdc++'s distributions bit for bit; on libstdc++
+// compare against them directly over a long stream.
+TEST(Rng, DistributionsMatchLibstdcxx) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  Rng ours(77);
+  std::mt19937_64 reference(77);
+  for (int i = 0; i < 20'000; ++i) {
+    switch (i % 5) {
+      case 0:
+        ASSERT_EQ(ours.uniform(),
+                  std::uniform_real_distribution<double>(0.0, 1.0)(reference));
+        break;
+      case 1:
+        ASSERT_EQ(ours.uniform(-0.08, 0.08),
+                  std::uniform_real_distribution<double>(-0.08, 0.08)(
+                      reference));
+        break;
+      case 2: {
+        const double p = (i % 7) / 5.0 - 0.2;  // spans [-0.2, 1.0]
+        ASSERT_EQ(ours.bernoulli(p), std::bernoulli_distribution(
+                                         std::clamp(p, 0.0, 1.0))(reference));
+        break;
+      }
+      case 3: {
+        const std::uint64_t hi = (i % 3 == 0)   ? 1ull << 63
+                                 : (i % 3 == 1) ? kMax
+                                                : static_cast<std::uint64_t>(i);
+        ASSERT_EQ(ours.uniform_int(0, hi),
+                  std::uniform_int_distribution<std::uint64_t>(0, hi)(
+                      reference));
+        break;
+      }
+      default:
+        ASSERT_EQ(ours.uniform_int(3, 12288),
+                  std::uniform_int_distribution<std::uint64_t>(3, 12288)(
+                      reference));
+    }
+  }
+}
+#endif
+
+TEST(HashBytes, PinnedForTheSuiteWorkloadNames) {
+  // Name-derived seeds: these values must never change, whatever standard
+  // library builds the program.
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"", 0x553e93901e462a6eull},
+      {"a", 0x454ddee488c1ed6bull},
+      {"golden", 0x49390eaf416b7266ull},
+      {"exactly8", 0xbc769552f7635847ull},
+      {"nine char", 0x552e992dc8373ca1ull},
+      {"blackscholes", 0x76d3b32ab4621f72ull},
+      {"500.perlbench_r", 0xdcff17908f75e74dull},
+      {"BFS", 0x1ba42705ef4dcc7bull},
+      {"bw_file_rd", 0x0b1642a65b11d07aull},
+      {"numeric-sort", 0x80b39e1f088bbd6full},
+      {"openssl", 0x28c28d10d7079383ull},
+  };
+  for (const auto& [name, value] : pins) {
+    EXPECT_EQ(hash_bytes(name), value) << name;
+  }
+  // Every workload name of the six paper suites, folded in suite order.
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  for (const auto& suite :
+       suites::all_suites({.instructions_per_workload = 1000})) {
+    for (const auto& w : suite.workloads) {
+      const std::uint64_t v = hash_bytes(w.name);
+#if defined(__GLIBCXX__)
+      EXPECT_EQ(v, std::hash<std::string>{}(w.name)) << w.name;
+#endif
+      for (int i = 0; i < 8; ++i) {
+        digest ^= (v >> (8 * i)) & 0xff;
+        digest *= 0x100000001b3ull;
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0xec4a65a2a43a9975ull);
 }
 
 }  // namespace

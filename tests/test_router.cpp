@@ -251,8 +251,9 @@ TEST(Router, BatchMatchesSequentialScoring) {
   std::vector<ScoreRequest> requests;
   std::uint64_t trace = 0;
   for (const char* suite : {"nbench", "sebs", "lmbench", "nbench"}) {
-    requests.push_back(builtin_request(
-        suite, 2500, "b" + std::to_string(trace), ++trace));
+    ++trace;
+    requests.push_back(
+        builtin_request(suite, 2500, "b" + std::to_string(trace), trace));
   }
   Router batch_router(router_options(4));
   const auto batched = batch_router.score_batch(requests);

@@ -132,6 +132,26 @@ TEST(Simulator, DeterministicAndOrderIndependent) {
   EXPECT_EQ(results[1].totals, a.totals);
 }
 
+TEST(Simulator, WorkCountersAgreeWithThePmuView) {
+  const auto machine = MachineConfig::xeon_e2186g();
+  const SimResult r = simulate(two_phase_workload(), machine);
+  const auto& c = r.totals;
+  // Every data access probes the L1 and the dTLB once.
+  EXPECT_EQ(r.work.l1_accesses,
+            c[PmuEvent::DtlbLoads] + c[PmuEvent::DtlbStores]);
+  EXPECT_EQ(r.work.llc_accesses,
+            c[PmuEvent::LlcLoads] + c[PmuEvent::LlcStores]);
+  EXPECT_GE(r.work.l2_accesses, r.work.llc_accesses);
+  EXPECT_LE(r.work.l2_accesses, r.work.l1_accesses);
+  EXPECT_EQ(r.work.tlb_walks * machine.page_walk_cycles,
+            c[PmuEvent::DtlbWalkPending]);
+  // At least one draw per instruction (the op-class draw), and the count
+  // is as deterministic as the counters.
+  EXPECT_GE(r.work.rng_draws, r.instructions);
+  EXPECT_EQ(simulate(two_phase_workload(), machine).work.rng_draws,
+            r.work.rng_draws);
+}
+
 TEST(Simulator, SeedChangesResults) {
   const WorkloadSpec w = two_phase_workload();
   const auto machine = MachineConfig::xeon_e2186g();

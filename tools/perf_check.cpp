@@ -7,6 +7,9 @@
 // metric-name suffix (the BenchReport naming contract):
 //   *_rps, *_mbps        higher is better  (ratio = baseline / fresh)
 //   *_us, *_ms, *_ns     lower is better   (ratio = fresh / baseline)
+//   *_exact              must be equal (deterministic work counters and
+//                        output digests: they depend on the model, not
+//                        on the machine, so any change is a failure)
 //   anything else        informational only, never gates
 // A metric regresses when its ratio exceeds --max-regress (default 1.5;
 // generous because bench machines and CI runners are noisy — this gate
@@ -23,7 +26,8 @@
 // self-contained. Exit codes: 0 all gated metrics within threshold,
 // 1 at least one regression, 2 I/O or parse trouble (missing file,
 // malformed JSON, records from different benches), 3 a gated baseline
-// metric is missing from the fresh record.
+// metric is missing from the fresh record. A changed *_exact metric
+// counts as a regression (exit 1).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -96,9 +100,10 @@ bool ends_with(const std::string& name, const std::string& suffix) {
          name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-enum class Direction { HigherBetter, LowerBetter, Info };
+enum class Direction { HigherBetter, LowerBetter, Exact, Info };
 
 Direction direction_of(const std::string& name) {
+  if (ends_with(name, "_exact")) return Direction::Exact;
   if (ends_with(name, "_rps") || ends_with(name, "_mbps") || name == "rps") {
     return Direction::HigherBetter;
   }
@@ -186,6 +191,14 @@ int main(int argc, char** argv) {
                      format_value(fresh_value->number), "-", "info"});
       continue;
     }
+    if (direction == Direction::Exact) {
+      const bool changed = base_value.number != fresh_value->number;
+      table.add_row({name, format_value(base_value.number),
+                     format_value(fresh_value->number), "-",
+                     changed ? "CHANGED" : "ok"});
+      if (changed) regressions.push_back(name);
+      continue;
+    }
     if (!(base_value.number > 0.0) || !(fresh_value->number > 0.0)) {
       table.add_row({name, format_value(base_value.number),
                      format_value(fresh_value->number), "-",
@@ -221,8 +234,9 @@ int main(int argc, char** argv) {
     return 3;
   }
   if (!regressions.empty()) {
-    std::cout << "\n" << regressions.size() << " metric(s) regressed beyond "
-              << format_value(max_regress) << "x:";
+    std::cout << "\n" << regressions.size()
+              << " metric(s) regressed beyond " << format_value(max_regress)
+              << "x or changed (*_exact):";
     for (const auto& name : regressions) std::cout << " " << name;
     std::cout << "\n";
     return 1;
