@@ -10,6 +10,9 @@ namespace {
 TEST(AddressSpace, ValidatesPageSize) {
   EXPECT_THROW(AddressSpace(0), std::invalid_argument);
   EXPECT_THROW(AddressSpace(4095), std::invalid_argument);
+  // One-byte pages would let a page number reach the empty-slot sentinel.
+  EXPECT_THROW(AddressSpace(1), std::invalid_argument);
+  EXPECT_NO_THROW(AddressSpace(2));
   EXPECT_NO_THROW(AddressSpace(4096));
 }
 

@@ -23,6 +23,9 @@ TEST(Tlb, ValidatesGeometry) {
   EXPECT_THROW(Tlb({.entries = 4, .ways = 2}, {.entries = 16, .ways = 4},
                    4095, 7, 60),
                std::invalid_argument);
+  EXPECT_THROW(Tlb({.entries = 4, .ways = 2}, {.entries = 16, .ways = 4},
+                   1, 7, 60),
+               std::invalid_argument);  // page numbers could hit the sentinel
   EXPECT_THROW(Tlb({.entries = 12, .ways = 2}, {.entries = 16, .ways = 4},
                    4096, 7, 60),
                std::invalid_argument);  // 6 sets not a power of two
