@@ -5,6 +5,7 @@
 // TrendScore.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -81,5 +82,12 @@ class CounterMatrix {
 CounterMatrix collect_counters(const sim::SuiteSpec& suite,
                                const sim::MachineConfig& machine,
                                const sim::SimOptions& options = {});
+
+/// Simulates a built-in suite the one way every front end does (`demo`,
+/// serve, jobs): equal instruction budgets, sample interval =
+/// instructions/100 (min 1), the Xeon E-2186G machine model. Throws
+/// std::runtime_error on an unknown name.
+CounterMatrix simulate_builtin(const std::string& name,
+                               std::uint64_t instructions);
 
 }  // namespace perspector::core

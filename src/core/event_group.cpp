@@ -35,6 +35,14 @@ EventGroup EventGroup::custom(std::string name,
   return EventGroup(std::move(name), std::move(counters));
 }
 
+std::optional<EventGroup> EventGroup::find(std::string_view name) {
+  if (name == "all") return all();
+  if (name == "llc") return llc();
+  if (name == "tlb") return tlb();
+  if (name == "branch") return branch();
+  return std::nullopt;
+}
+
 bool EventGroup::contains(const std::string& counter_name) const {
   if (is_all()) return true;
   return std::find(counters_.begin(), counters_.end(), counter_name) !=

@@ -2,7 +2,10 @@
 // (paper Section IV-B — all / LLC-only / TLB-only).
 #pragma once
 
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace perspector::core {
@@ -20,6 +23,17 @@ class EventGroup {
   static EventGroup branch();
   /// Arbitrary user-defined group; `counters` must be non-empty.
   static EventGroup custom(std::string name, std::vector<std::string> counters);
+
+  /// The preset named `name` (all/llc/tlb/branch), or nullopt.
+  static std::optional<EventGroup> find(std::string_view name);
+
+  /// The preset named `name`; throws `Error("unknown event group
+  /// '<name>'")` when there is none, so each caller keeps its error type.
+  template <typename Error = std::invalid_argument>
+  static EventGroup by_name(const std::string& name) {
+    if (auto group = find(name)) return *std::move(group);
+    throw Error("unknown event group '" + name + "'");
+  }
 
   const std::string& name() const noexcept { return name_; }
 

@@ -1,12 +1,11 @@
 #include "core/io.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -21,46 +20,7 @@ namespace perspector::core {
 namespace {
 
 using ingest::csv_location;
-
-// Minimal RFC-4180-ish CSV line splitter (handles quoted cells with
-// embedded commas and doubled quotes). `byte_offset` is the line's first
-// byte in the input, reported alongside the line number so errors stay
-// greppable in GB-scale files.
-std::vector<std::string> split_csv_line(const std::string& line,
-                                        std::size_t line_no,
-                                        std::uint64_t byte_offset) {
-  std::vector<std::string> cells;
-  std::string cell;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char ch = line[i];
-    if (quoted) {
-      if (ch == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cell += ch;
-      }
-    } else if (ch == '"') {
-      quoted = true;
-    } else if (ch == ',') {
-      cells.push_back(std::move(cell));
-      cell.clear();
-    } else if (ch != '\r') {
-      cell += ch;
-    }
-  }
-  if (quoted) {
-    throw std::runtime_error(csv_location(line_no, byte_offset) +
-                             ": unterminated quote");
-  }
-  cells.push_back(std::move(cell));
-  return cells;
-}
+using Series = std::vector<std::vector<std::vector<double>>>;
 
 std::string csv_escape(const std::string& cell) {
   if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
@@ -73,9 +33,15 @@ std::string csv_escape(const std::string& cell) {
   return out;
 }
 
+/// Parses one numeric cell. The ingest fast path covers short plain
+/// decimals with a correctly-rounded multiply (bit-identical to
+/// from_chars); everything it declines — long significands, extreme
+/// exponents, nan/inf, malformed cells — goes through from_chars, which
+/// decides acceptance and the error message.
 double parse_double(std::string_view cell, std::size_t line_no,
                     std::uint64_t byte_offset) {
   double value = 0.0;
+  if (ingest::parse_number(cell, value)) return value;
   const char* first = cell.data();
   const char* last = cell.data() + cell.size();
   const auto [ptr, ec] = std::from_chars(first, last, value);
@@ -95,29 +61,6 @@ double parse_double(std::string_view cell, std::size_t line_no,
   return value;
 }
 
-/// Streamed-path variant of parse_double: the ingest fast path covers
-/// short plain decimals with a correctly-rounded (bit-identical to
-/// from_chars) multiply, and everything it declines — long significands,
-/// extreme exponents, nan/inf, malformed cells — re-parses through
-/// parse_double above, so the accepted inputs, the parsed bits, and every
-/// error message stay exactly the slurp reader's.
-double parse_double_fast(std::string_view cell, std::size_t line_no,
-                         std::uint64_t byte_offset) {
-  double value = 0.0;
-  if (ingest::parse_number(cell, value)) return value;
-  return parse_double(cell, line_no, byte_offset);
-}
-
-/// Drops a leading UTF-8 byte-order mark (EF BB BF) from the first line —
-/// spreadsheet exports and Windows producers routinely prepend one, and it
-/// would otherwise corrupt the first header cell.
-void strip_utf8_bom(std::string& line) {
-  if (line.size() >= 3 && line[0] == '\xEF' && line[1] == '\xBB' &&
-      line[2] == '\xBF') {
-    line.erase(0, 3);
-  }
-}
-
 std::size_t parse_index(std::string_view cell, std::size_t line_no,
                         std::uint64_t byte_offset) {
   std::size_t value = 0;
@@ -131,68 +74,215 @@ std::size_t parse_index(std::string_view cell, std::size_t line_no,
   return value;
 }
 
-std::ofstream open_for_write(const std::string& path) {
-  std::ofstream out(path);
+// %.17g: enough digits that parsing the text recovers the exact double,
+// so every written matrix reads back bit-exactly.
+void append_exact_double(std::string& out, double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  out += buf;
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
   if (!out) {
     throw std::runtime_error("cannot open '" + path + "' for writing");
   }
-  return out;
+  out << text;
+  if (!out) throw std::runtime_error("write failed for '" + path + "'");
 }
 
+// File readers overlap disk reads with parsing on the stream's IO thread
+// (default 1 MiB chunks). In-memory payloads are small: one 64 KiB chunk
+// buffer, no thread.
+constexpr ingest::IngestOptions kTextOptions{.chunk_bytes = 1 << 16,
+                                             .io_thread = false};
+
 std::ifstream open_for_read(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("cannot open '" + path + "' for reading");
   }
   return in;
 }
 
-}  // namespace
-
-void write_aggregates_csv(const CounterMatrix& data, const std::string& path) {
-  auto out = open_for_write(path);
-  out << "workload";
-  for (const auto& counter : data.counter_names()) {
-    out << ',' << csv_escape(counter);
-  }
-  out << '\n';
-  for (std::size_t w = 0; w < data.num_workloads(); ++w) {
-    out << csv_escape(data.workload_names()[w]);
-    for (std::size_t c = 0; c < data.num_counters(); ++c) {
-      out << ',' << data.value(w, c);
-    }
-    out << '\n';
-  }
-  if (!out) throw std::runtime_error("write failed for '" + path + "'");
+/// Size hint for capacity estimates; 0 when the file cannot be stat'ed.
+std::uint64_t file_bytes(const std::string& path) {
+  std::error_code ec;
+  const std::uint64_t size = std::filesystem::file_size(path, ec);
+  return ec ? 0 : size;
 }
 
-void write_series_csv(const CounterMatrix& data, const std::string& path) {
-  if (!data.has_series()) {
-    throw std::logic_error("write_series_csv: matrix carries no series");
+/// The aggregate-row body: appends every data row left in `stream` to
+/// `workloads`/`values`, which may already hold a base suite's rows (new
+/// names must not repeat them either). `map`, when set, permutes each
+/// row's value cells into counter order. `origin` labels the input in
+/// errors; `size_hint` is its byte size.
+void read_aggregate_rows(ingest::CsvStream& stream, std::size_t num_counters,
+                         const ingest::ColumnMap* map,
+                         std::uint64_t size_hint, const std::string& origin,
+                         std::vector<std::string>& workloads,
+                         la::Matrix& values) {
+  const std::size_t first = workloads.size();
+  ingest::NameIndex seen;
+  std::vector<std::string_view> rearranged;
+  std::vector<double> row(num_counters);
+  while (stream.next_row()) {
+    const auto& cells = stream.cells();
+    const std::size_t line_no = stream.line_no();
+    const std::uint64_t offset = stream.byte_offset();
+    if (cells.size() != num_counters + 1) {
+      throw std::runtime_error(
+          csv_location(line_no, offset) + ": expected " +
+          std::to_string(num_counters + 1) + " cells, got " +
+          std::to_string(cells.size()));
+    }
+    if (workloads.size() == first) {
+      // Capacities are estimated from the input size and the first data
+      // row's width, so a multi-million-row file pays no regrow copies,
+      // and duplicates are found through the flat NameIndex instead of a
+      // node-per-row std::set (see ingest/name_index.hpp).
+      std::size_t line_bytes = cells.size();  // separators + newline
+      for (const auto& cell : cells) line_bytes += cell.size();
+      const std::size_t estimate =
+          first + static_cast<std::size_t>(size_hint) / line_bytes + 16;
+      workloads.reserve(estimate);
+      values.reserve(estimate, num_counters);
+      seen = ingest::NameIndex(estimate);
+      for (std::size_t w = 0; w < first; ++w) {
+        seen.insert(workloads[w], w, workloads);
+      }
+    }
+    if (seen.insert(cells[0], workloads.size(), workloads) !=
+        ingest::NameIndex::npos) {
+      throw std::runtime_error(csv_location(line_no, offset) +
+                               ": duplicate workload '" +
+                               std::string(cells[0]) + "'");
+    }
+    workloads.emplace_back(cells[0]);
+    const std::string_view* value_cells = cells.data() + 1;
+    if (map != nullptr) {
+      map->rearrange(cells, rearranged);
+      value_cells = rearranged.data();
+    }
+    for (std::size_t c = 0; c < num_counters; ++c) {
+      row[c] = parse_double(value_cells[c], line_no, offset);
+    }
+    values.append_row(row);
   }
-  auto out = open_for_write(path);
-  out << "workload,counter,sample,value\n";
-  for (std::size_t w = 0; w < data.num_workloads(); ++w) {
-    for (std::size_t c = 0; c < data.num_counters(); ++c) {
-      const auto& series = data.series(w, c);
-      for (std::size_t s = 0; s < series.size(); ++s) {
-        out << csv_escape(data.workload_names()[w]) << ','
-            << csv_escape(data.counter_names()[c]) << ',' << s << ','
-            << series[s] << '\n';
+  if (workloads.size() == first) {
+    throw std::runtime_error("'" + origin + "': no data rows");
+  }
+}
+
+CounterMatrix read_aggregates(const std::string& suite_name,
+                              ingest::CsvStream& stream,
+                              const std::string& origin,
+                              std::uint64_t size_hint) {
+  if (!stream.next_row()) {
+    throw std::runtime_error("'" + origin + "': empty file");
+  }
+  const auto& header = stream.cells();
+  if (header.size() < 2 || header[0] != "workload") {
+    throw std::runtime_error(
+        "'" + origin + "': header must be 'workload,<counter>,...'");
+  }
+  std::vector<std::string> counters(header.begin() + 1, header.end());
+  std::vector<std::string> workloads;
+  la::Matrix values;
+  read_aggregate_rows(stream, counters.size(), nullptr, size_hint, origin,
+                      workloads, values);
+  return CounterMatrix(suite_name, std::move(workloads), std::move(counters),
+                       std::move(values));
+}
+
+/// The series-row body: checks the long-format header, then appends each
+/// row's sample to `series[w][c]`, with names resolved against `names`.
+/// `series` starts empty for a fresh read or as the base suite's series
+/// for append_samples; either way each sample index must continue its
+/// series densely. Returns the number of data rows.
+std::size_t read_series_rows(ingest::CsvStream& stream,
+                             const CounterMatrix& names,
+                             const std::string& origin, Series& series) {
+  const bool header_ok = stream.next_row() && stream.cells().size() == 4 &&
+                         stream.cells()[0] == "workload" &&
+                         stream.cells()[1] == "counter" &&
+                         stream.cells()[2] == "sample" &&
+                         stream.cells()[3] == "value";
+  if (!header_ok) {
+    throw std::runtime_error(
+        "'" + origin + "': header must be 'workload,counter,sample,value'");
+  }
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t w = kNone;
+  std::size_t c = kNone;
+  std::size_t rows = 0;
+  while (stream.next_row()) {
+    const auto& cells = stream.cells();
+    const std::size_t line_no = stream.line_no();
+    const std::uint64_t offset = stream.byte_offset();
+    if (cells.size() != 4) {
+      throw std::runtime_error(csv_location(line_no, offset) +
+                               ": expected 4 cells");
+    }
+    // Rows usually run one series at a time, so the previous row's names
+    // are tried before a lookup.
+    try {
+      if (w == kNone || cells[0] != names.workload_names()[w]) {
+        w = names.workload_index(std::string(cells[0]));
+      }
+      if (c == kNone || cells[1] != names.counter_names()[c]) {
+        c = names.counter_index(std::string(cells[1]));
+      }
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(csv_location(line_no, offset) + ": " +
+                                  e.what());
+    }
+    const std::size_t s = parse_index(cells[2], line_no, offset);
+    auto& target = series[w][c];
+    if (s != target.size()) {
+      throw std::runtime_error(
+          csv_location(line_no, offset) +
+          ": sample indices must be dense from 0 (expected " +
+          std::to_string(target.size()) + ", got " + std::to_string(s) + ")");
+    }
+    target.push_back(parse_double(cells[3], line_no, offset));
+    ++rows;
+  }
+  return rows;
+}
+
+/// A fresh series read: returns `bare` with the series of `stream`
+/// attached, which must give every (workload, counter) pair a sample.
+CounterMatrix attach_series(const CounterMatrix& bare,
+                            ingest::CsvStream& stream,
+                            const std::string& origin) {
+  Series series(bare.num_workloads(),
+                std::vector<std::vector<double>>(bare.num_counters()));
+  read_series_rows(stream, bare, origin, series);
+  for (std::size_t w = 0; w < bare.num_workloads(); ++w) {
+    for (std::size_t c = 0; c < bare.num_counters(); ++c) {
+      if (series[w][c].empty()) {
+        throw std::runtime_error(
+            "'" + origin + "': no samples for workload '" +
+            bare.workload_names()[w] + "' counter '" +
+            bare.counter_names()[c] + "'");
       }
     }
   }
-  if (!out) throw std::runtime_error("write failed for '" + path + "'");
+  return CounterMatrix(bare.suite_name(), bare.workload_names(),
+                       bare.counter_names(), bare.values(),
+                       std::move(series));
 }
 
-namespace {
-
-// %.17g: enough digits that parsing the text recovers the exact double,
-// so a matrix forwarded as CSV between processes round-trips bit-exactly.
-void append_exact_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out += buf;
+/// Appends the series rows of `m` to `series`.
+void append_series_of(const CounterMatrix& m, Series& series) {
+  for (std::size_t w = 0; w < m.num_workloads(); ++w) {
+    std::vector<std::vector<double>>& row = series.emplace_back();
+    row.reserve(m.num_counters());
+    for (std::size_t c = 0; c < m.num_counters(); ++c) {
+      row.push_back(m.series(w, c));
+    }
+  }
 }
 
 }  // namespace
@@ -238,223 +328,29 @@ std::string write_series_csv_text(const CounterMatrix& data) {
   return out;
 }
 
-namespace {
-
-/// Shared body of the file and in-memory aggregate readers. `origin` is
-/// the label used in error messages (the path, for files).
-CounterMatrix read_aggregates_stream(const std::string& suite_name,
-                                     std::istream& in,
-                                     const std::string& origin) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("'" + origin + "': empty file");
-  }
-  // Byte offset of the line just read; getline consumed line.size() bytes
-  // plus one '\n' (the final line may lack one, but then no further line
-  // follows and the over-count is never observed).
-  std::uint64_t offset = 0;
-  std::uint64_t consumed = line.size() + 1;
-  strip_utf8_bom(line);
-  auto header = split_csv_line(line, 1, 0);
-  if (header.size() < 2 || header[0] != "workload") {
-    throw std::runtime_error(
-        "'" + origin + "': header must be 'workload,<counter>,...'");
-  }
-  std::vector<std::string> counters(header.begin() + 1, header.end());
-
-  std::vector<std::string> workloads;
-  std::set<std::string> seen;
-  la::Matrix values;
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    offset = consumed;
-    consumed += line.size() + 1;
-    if (line.empty()) continue;
-    const auto cells = split_csv_line(line, line_no, offset);
-    if (cells.size() != counters.size() + 1) {
-      throw std::runtime_error(
-          csv_location(line_no, offset) + ": expected " +
-          std::to_string(counters.size() + 1) + " cells, got " +
-          std::to_string(cells.size()));
-    }
-    if (!seen.insert(cells[0]).second) {
-      throw std::runtime_error(csv_location(line_no, offset) +
-                               ": duplicate workload '" + cells[0] + "'");
-    }
-    workloads.push_back(cells[0]);
-    std::vector<double> row(counters.size());
-    for (std::size_t c = 0; c < counters.size(); ++c) {
-      row[c] = parse_double(cells[c + 1], line_no, offset);
-    }
-    values.append_row(row);
-  }
-  if (workloads.empty()) {
-    throw std::runtime_error("'" + origin + "': no data rows");
-  }
-  return CounterMatrix(suite_name, std::move(workloads), std::move(counters),
-                       std::move(values));
+void write_aggregates_csv(const CounterMatrix& data, const std::string& path) {
+  write_file(path, write_aggregates_csv_text(data));
 }
 
-/// Shared body of the file and in-memory series readers: parses the long
-/// format from `in` and returns `bare` with the series attached.
-CounterMatrix attach_series_stream(const CounterMatrix& bare,
-                                   std::istream& in,
-                                   const std::string& origin) {
-  std::vector<std::vector<std::vector<double>>> series(
-      bare.num_workloads(),
-      std::vector<std::vector<double>>(bare.num_counters()));
-
-  std::string line;
-  bool have_header = static_cast<bool>(std::getline(in, line));
-  std::uint64_t offset = 0;
-  std::uint64_t consumed = have_header ? line.size() + 1 : 0;
-  if (have_header) strip_utf8_bom(line);
-  if (!have_header ||
-      split_csv_line(line, 1, 0) !=
-          std::vector<std::string>{"workload", "counter", "sample", "value"}) {
-    throw std::runtime_error(
-        "'" + origin +
-        "': header must be 'workload,counter,sample,value'");
+void write_series_csv(const CounterMatrix& data, const std::string& path) {
+  if (!data.has_series()) {
+    throw std::logic_error("write_series_csv: matrix carries no series");
   }
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    offset = consumed;
-    consumed += line.size() + 1;
-    if (line.empty()) continue;
-    const auto cells = split_csv_line(line, line_no, offset);
-    if (cells.size() != 4) {
-      throw std::runtime_error(csv_location(line_no, offset) +
-                               ": expected 4 cells");
-    }
-    const std::size_t w = bare.workload_index(cells[0]);
-    const std::size_t c = bare.counter_index(cells[1]);
-    const std::size_t s = parse_index(cells[2], line_no, offset);
-    auto& target = series[w][c];
-    if (s != target.size()) {
-      throw std::runtime_error(csv_location(line_no, offset) +
-                               ": sample indices must be dense from 0 "
-                               "(expected " +
-                               std::to_string(target.size()) + ", got " +
-                               std::to_string(s) + ")");
-    }
-    target.push_back(parse_double(cells[3], line_no, offset));
-  }
-  for (std::size_t w = 0; w < bare.num_workloads(); ++w) {
-    for (std::size_t c = 0; c < bare.num_counters(); ++c) {
-      if (series[w][c].empty()) {
-        throw std::runtime_error(
-            "'" + origin + "': no samples for workload '" +
-            bare.workload_names()[w] + "' counter '" +
-            bare.counter_names()[c] + "'");
-      }
-    }
-  }
-  return CounterMatrix(bare.suite_name(), bare.workload_names(),
-                       bare.counter_names(), bare.values(),
-                       std::move(series));
+  write_file(path, write_series_csv_text(data));
 }
-
-}  // namespace
 
 CounterMatrix read_aggregates_csv(const std::string& suite_name,
                                   const std::string& path) {
-  // Size probe failures (missing file, permission) fall through to the
-  // slurp path, whose open_for_read reports the canonical error.
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (!ec && size >= kStreamedReadThresholdBytes) {
-    return read_aggregates_csv_streamed(suite_name, path);
-  }
-  return read_aggregates_csv_slurp(suite_name, path);
-}
-
-CounterMatrix read_aggregates_csv_slurp(const std::string& suite_name,
-                                        const std::string& path) {
   auto in = open_for_read(path);
-  return read_aggregates_stream(suite_name, in, path);
-}
-
-CounterMatrix read_aggregates_csv_streamed(const std::string& suite_name,
-                                           const std::string& path,
-                                           const StreamedReadOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open '" + path + "' for reading");
-  }
-  ingest::IngestOptions ingest_options;
-  ingest_options.chunk_bytes = options.chunk_bytes;
-  ingest_options.io_thread = options.io_thread;
-  ingest::CsvStream stream(in, ingest_options);
-
-  if (!stream.next_row()) {
-    throw std::runtime_error("'" + path + "': empty file");
-  }
-  const auto& header = stream.cells();
-  if (header.size() < 2 || header[0] != "workload") {
-    throw std::runtime_error(
-        "'" + path + "': header must be 'workload,<counter>,...'");
-  }
-  std::vector<std::string> counters(header.begin() + 1, header.end());
-
-  std::vector<std::string> workloads;
-  la::Matrix values;
-  std::vector<double> row(counters.size());
-  // Capacities are estimated from the file size and the first data row's
-  // width so a multi-million-row file pays no rehash/regrow copies, and
-  // duplicate detection goes through the flat open-addressed NameIndex
-  // instead of a node-per-row std::set (see ingest/name_index.hpp).
-  std::error_code size_ec;
-  const std::uint64_t file_bytes = std::filesystem::file_size(path, size_ec);
-  ingest::NameIndex seen;
-  bool reserved = false;
-  while (stream.next_row()) {
-    const auto& cells = stream.cells();
-    if (cells.size() != counters.size() + 1) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": expected " + std::to_string(counters.size() + 1) +
-          " cells, got " + std::to_string(cells.size()));
-    }
-    if (!reserved) {
-      reserved = true;
-      if (!size_ec && file_bytes > 0) {
-        std::size_t line_bytes = cells.size();  // separators + newline
-        for (const auto& cell : cells) line_bytes += cell.size();
-        const std::size_t estimate =
-            static_cast<std::size_t>(file_bytes) /
-                std::max<std::size_t>(line_bytes, 1) +
-            16;
-        workloads.reserve(estimate);
-        values.reserve(estimate, counters.size());
-        seen = ingest::NameIndex(estimate);
-      }
-    }
-    if (seen.insert(cells[0], workloads.size(), workloads) !=
-        ingest::NameIndex::npos) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": duplicate workload '" + std::string(cells[0]) + "'");
-    }
-    workloads.emplace_back(cells[0]);
-    for (std::size_t c = 0; c < counters.size(); ++c) {
-      row[c] = parse_double_fast(cells[c + 1], stream.line_no(),
-                                 stream.byte_offset());
-    }
-    values.append_row(row);
-  }
-  if (workloads.empty()) {
-    throw std::runtime_error("'" + path + "': no data rows");
-  }
-  return CounterMatrix(suite_name, std::move(workloads), std::move(counters),
-                       std::move(values));
+  ingest::CsvStream stream(in);
+  return read_aggregates(suite_name, stream, path, file_bytes(path));
 }
 
 CounterMatrix read_aggregates_csv_text(const std::string& suite_name,
                                        const std::string& csv_text) {
   std::istringstream in(csv_text);
-  return read_aggregates_stream(suite_name, in, "<inline csv>");
+  ingest::CsvStream stream(in, kTextOptions);
+  return read_aggregates(suite_name, stream, "<inline csv>", csv_text.size());
 }
 
 CounterMatrix read_with_series_csv(const std::string& suite_name,
@@ -462,7 +358,8 @@ CounterMatrix read_with_series_csv(const std::string& suite_name,
                                    const std::string& series_path) {
   const CounterMatrix bare = read_aggregates_csv(suite_name, aggregates_path);
   auto in = open_for_read(series_path);
-  return attach_series_stream(bare, in, series_path);
+  ingest::CsvStream stream(in);
+  return attach_series(bare, stream, series_path);
 }
 
 CounterMatrix read_with_series_csv_text(const std::string& suite_name,
@@ -471,67 +368,34 @@ CounterMatrix read_with_series_csv_text(const std::string& suite_name,
   const CounterMatrix bare =
       read_aggregates_csv_text(suite_name, aggregates_text);
   std::istringstream in(series_text);
-  return attach_series_stream(bare, in, "<inline series csv>");
+  ingest::CsvStream stream(in, kTextOptions);
+  return attach_series(bare, stream, "<inline series csv>");
 }
 
 CounterMatrix append_workloads_csv_text(const CounterMatrix& base,
                                         const std::string& aggregates_text,
                                         const std::string& series_text) {
+  const std::string origin = "<delta aggregates csv>";
   std::istringstream in(aggregates_text);
-  ingest::IngestOptions options;
-  options.chunk_bytes = 1 << 16;  // wire payloads are small; no IO thread
-  options.io_thread = false;
-  ingest::CsvStream stream(in, options);
-
+  ingest::CsvStream stream(in, kTextOptions);
   if (!stream.next_row()) {
-    throw std::runtime_error("'<delta aggregates csv>': empty file");
+    throw std::runtime_error("'" + origin + "': empty file");
   }
   const auto& header = stream.cells();
-  if (header.size() != base.num_counters() + 1 || header.empty() ||
-      header[0] != "workload") {
+  if (header.size() != base.num_counters() + 1 || header[0] != "workload") {
     throw std::runtime_error(
-        "'<delta aggregates csv>': header must name 'workload' and exactly "
-        "the base suite's counters");
+        "'" + origin +
+        "': header must name 'workload' and exactly the base suite's "
+        "counters");
   }
   // With the size pinned above, a successful map means the header is a
   // permutation of the base counters (ColumnMap throws on missing or
   // duplicated columns).
   const ingest::ColumnMap map(header, base.counter_names());
-
   std::vector<std::string> workloads = base.workload_names();
-  std::set<std::string> seen(workloads.begin(), workloads.end());
   la::Matrix values = base.values();
-  la::Matrix added_values;
-  std::vector<std::string> added;
-  std::vector<std::string_view> rearranged;
-  std::vector<double> row(base.num_counters());
-  while (stream.next_row()) {
-    const auto& cells = stream.cells();
-    if (cells.size() != base.num_counters() + 1) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": expected " + std::to_string(base.num_counters() + 1) +
-          " cells, got " + std::to_string(cells.size()));
-    }
-    std::string name(cells[0]);
-    if (!seen.insert(name).second) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": duplicate workload '" + name + "'");
-    }
-    map.rearrange(cells, rearranged);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      row[c] =
-          parse_double(rearranged[c], stream.line_no(), stream.byte_offset());
-    }
-    workloads.push_back(name);
-    added.push_back(std::move(name));
-    values.append_row(row);
-    added_values.append_row(row);
-  }
-  if (added.empty()) {
-    throw std::runtime_error("'<delta aggregates csv>': no data rows");
-  }
+  read_aggregate_rows(stream, base.num_counters(), &map,
+                      aggregates_text.size(), origin, workloads, values);
 
   if (!base.has_series()) {
     if (!series_text.empty()) {
@@ -543,32 +407,26 @@ CounterMatrix append_workloads_csv_text(const CounterMatrix& base,
                          base.counter_names(), std::move(values));
   }
 
-  // The series payload must cover exactly the new workloads; validating it
-  // against a bare matrix of only those rows reuses the reader's dense-index
-  // and full-coverage checks verbatim (a row naming a pre-existing workload
-  // fails its workload lookup).
-  const CounterMatrix delta(base.suite_name(), added, base.counter_names(),
-                            std::move(added_values));
+  // The series payload must cover exactly the new workloads; reading it
+  // against a matrix of only those rows reuses the fresh read's dense-index
+  // and full-coverage checks (a row naming a base workload fails its
+  // workload lookup).
+  const std::size_t first = base.num_workloads();
+  std::vector<std::size_t> added(workloads.size() - first);
+  std::iota(added.begin(), added.end(), first);
+  const CounterMatrix delta(
+      base.suite_name(),
+      std::vector<std::string>(workloads.begin() + first, workloads.end()),
+      base.counter_names(), values.select_rows(added));
   std::istringstream series_in(series_text);
+  ingest::CsvStream series_stream(series_in, kTextOptions);
   const CounterMatrix with_series =
-      attach_series_stream(delta, series_in, "<delta series csv>");
+      attach_series(delta, series_stream, "<delta series csv>");
 
-  std::vector<std::vector<std::vector<double>>> series;
+  Series series;
   series.reserve(workloads.size());
-  for (std::size_t w = 0; w < base.num_workloads(); ++w) {
-    std::vector<std::vector<double>> row_series(base.num_counters());
-    for (std::size_t c = 0; c < base.num_counters(); ++c) {
-      row_series[c] = base.series(w, c);
-    }
-    series.push_back(std::move(row_series));
-  }
-  for (std::size_t w = 0; w < added.size(); ++w) {
-    std::vector<std::vector<double>> row_series(base.num_counters());
-    for (std::size_t c = 0; c < base.num_counters(); ++c) {
-      row_series[c] = with_series.series(w, c);
-    }
-    series.push_back(std::move(row_series));
-  }
+  append_series_of(base, series);
+  append_series_of(with_series, series);
   return CounterMatrix(base.suite_name(), std::move(workloads),
                        base.counter_names(), std::move(values),
                        std::move(series));
@@ -581,59 +439,24 @@ CounterMatrix append_samples_csv_text(
     throw std::logic_error(
         "append_samples_csv_text: base matrix carries no series");
   }
-  std::vector<std::vector<std::vector<double>>> series(
-      base.num_workloads(),
-      std::vector<std::vector<double>>(base.num_counters()));
-  for (std::size_t w = 0; w < base.num_workloads(); ++w) {
-    for (std::size_t c = 0; c < base.num_counters(); ++c) {
-      series[w][c] = base.series(w, c);
-    }
-  }
-
+  Series series;
+  series.reserve(base.num_workloads());
+  append_series_of(base, series);
   std::istringstream in(series_text);
-  ingest::IngestOptions options;
-  options.chunk_bytes = 1 << 16;
-  options.io_thread = false;
-  ingest::CsvStream stream(in, options);
-  const bool header_ok = stream.next_row() && stream.cells().size() == 4 &&
-                         stream.cells()[0] == "workload" &&
-                         stream.cells()[1] == "counter" &&
-                         stream.cells()[2] == "sample" &&
-                         stream.cells()[3] == "value";
-  if (!header_ok) {
-    throw std::runtime_error(
-        "'<delta series csv>': header must be 'workload,counter,sample,value'");
-  }
-  std::size_t appended = 0;
-  std::set<std::size_t> touched;
-  while (stream.next_row()) {
-    const auto& cells = stream.cells();
-    if (cells.size() != 4) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": expected 4 cells");
-    }
-    const std::size_t w = base.workload_index(std::string(cells[0]));
-    touched.insert(w);
-    const std::size_t c = base.counter_index(std::string(cells[1]));
-    const std::size_t s =
-        parse_index(cells[2], stream.line_no(), stream.byte_offset());
-    auto& target = series[w][c];
-    if (s != target.size()) {
-      throw std::runtime_error(
-          csv_location(stream.line_no(), stream.byte_offset()) +
-          ": sample indices must be dense from 0 (expected " +
-          std::to_string(target.size()) + ", got " + std::to_string(s) + ")");
-    }
-    target.push_back(
-        parse_double(cells[3], stream.line_no(), stream.byte_offset()));
-    ++appended;
-  }
-  if (appended == 0) {
+  ingest::CsvStream stream(in, kTextOptions);
+  if (read_series_rows(stream, base, "<delta series csv>", series) == 0) {
     throw std::runtime_error("'<delta series csv>': no data rows");
   }
   if (touched_workloads != nullptr) {
-    touched_workloads->assign(touched.begin(), touched.end());
+    touched_workloads->clear();
+    for (std::size_t w = 0; w < base.num_workloads(); ++w) {
+      for (std::size_t c = 0; c < base.num_counters(); ++c) {
+        if (series[w][c].size() != base.series(w, c).size()) {
+          touched_workloads->push_back(w);
+          break;
+        }
+      }
+    }
   }
   return CounterMatrix(base.suite_name(), base.workload_names(),
                        base.counter_names(), base.values(), std::move(series));
@@ -646,18 +469,20 @@ std::vector<PerfStatRecord> parse_perf_stat(const std::string& text) {
   std::size_t line_no = 0;
   std::uint64_t offset = 0;
   std::uint64_t consumed = 0;
+  ingest::CellScanner scanner;
   while (std::getline(in, line)) {
     ++line_no;
     offset = consumed;
     consumed += line.size() + 1;
     if (line.empty() || line[0] == '#') continue;
-    const auto cells = split_csv_line(line, line_no, offset);
+    scanner.scan(line, line_no, offset);
+    const auto& cells = scanner.cells();
     if (cells.size() < 3) {
       throw std::runtime_error("perf-stat line " + std::to_string(line_no) +
                                ": expected at least 3 fields");
     }
     PerfStatRecord record;
-    record.event = cells[2];
+    record.event = std::string(cells[2]);
     if (record.event.empty()) {
       throw std::runtime_error("perf-stat line " + std::to_string(line_no) +
                                ": empty event name");
@@ -727,20 +552,22 @@ PerfIntervalData parse_perf_stat_intervals(const std::string& text) {
   std::uint64_t consumed = 0;
   std::size_t cursor = 0;  // position within the current interval block
   double current_time = -1.0;
+  ingest::CellScanner scanner;
 
   while (std::getline(in, line)) {
     ++line_no;
     offset = consumed;
     consumed += line.size() + 1;
     if (line.empty() || line[0] == '#') continue;
-    const auto cells = split_csv_line(line, line_no, offset);
+    scanner.scan(line, line_no, offset);
+    const auto& cells = scanner.cells();
     if (cells.size() < 4) {
       throw std::runtime_error("perf-interval line " +
                                std::to_string(line_no) +
                                ": expected at least 4 fields");
     }
     const double timestamp = parse_double(cells[0], line_no, offset);
-    const std::string& event = cells[3];
+    const std::string event(cells[3]);
     if (event.empty()) {
       throw std::runtime_error("perf-interval line " +
                                std::to_string(line_no) + ": empty event");

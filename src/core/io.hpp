@@ -15,27 +15,27 @@
 // "CSV line N (byte M)", the byte offset making errors greppable with
 // dd/tail in GB-scale files — on error.
 //
-// Large aggregate files (>= kStreamedReadThresholdBytes) are read through
-// the streaming pipeline in src/ingest/ (chunked IO overlapped with an
-// in-place cell scanner); the resulting matrices and error messages are
-// byte-identical to the historical slurp path, which remains available as
-// read_aggregates_csv_slurp for A/B benchmarking.
+// Every reader here parses through one pipeline, ingest::CsvStream
+// (src/ingest/): chunked IO, lines framed across chunk boundaries, cells
+// scanned in place. The file readers overlap disk reads with parsing on a
+// dedicated IO thread; the `_text` readers parse an in-memory payload
+// with no thread. Every writer renders values with %.17g, so write -> read
+// returns the exact doubles.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "core/counter_matrix.hpp"
 
 namespace perspector::core {
 
-/// Writes the aggregate counter table as CSV.
-/// Throws std::runtime_error on I/O failure.
+/// Writes the aggregate counter table as CSV (write_aggregates_csv_text
+/// to a file). Throws std::runtime_error on I/O failure.
 void write_aggregates_csv(const CounterMatrix& data, const std::string& path);
 
-/// Writes the sampled time series in long format.
-/// Throws std::logic_error when the matrix carries no series.
+/// Writes the sampled time series in long format (write_series_csv_text
+/// to a file). Throws std::logic_error when the matrix carries no series.
 void write_series_csv(const CounterMatrix& data, const std::string& path);
 
 /// Reads an aggregate CSV (no series attached).
@@ -47,40 +47,14 @@ void write_series_csv(const CounterMatrix& data, const std::string& path);
 /// skipped, CRLF line endings are accepted everywhere, and NaN/Inf cells
 /// are rejected with the offending line number (the scores are undefined
 /// over non-finite counters, so they must fail loudly at the boundary).
-///
-/// Files of at least kStreamedReadThresholdBytes take the streamed path
-/// below automatically; smaller files slurp (identical results).
 CounterMatrix read_aggregates_csv(const std::string& suite_name,
                                   const std::string& path);
-
-/// Byte threshold above which read_aggregates_csv streams instead of
-/// slurping. 1 MiB: below it the whole file fits the first chunk anyway.
-inline constexpr std::uint64_t kStreamedReadThresholdBytes = 1ull << 20;
-
-/// Tuning for read_aggregates_csv_streamed (see src/ingest/csv_stream.hpp
-/// for the pipeline). The defaults are what read_aggregates_csv uses.
-struct StreamedReadOptions {
-  std::size_t chunk_bytes = 1 << 20;
-  bool io_thread = true;  // overlap disk IO with parsing
-};
-
-/// Streamed aggregate reader: identical validation, matrices, and error
-/// messages to the slurp path, but the file is read in fixed-size chunks
-/// (optionally on a dedicated IO thread) and cells are scanned in place —
-/// no per-cell string allocation. Byte-identical output at every chunk
-/// size, including chunks that split a CRLF or a quoted cell.
-CounterMatrix read_aggregates_csv_streamed(
-    const std::string& suite_name, const std::string& path,
-    const StreamedReadOptions& options = {});
-
-/// The historical getline-based reader, kept callable at any file size as
-/// the baseline the ingest throughput bench compares against.
-CounterMatrix read_aggregates_csv_slurp(const std::string& suite_name,
-                                        const std::string& path);
 
 /// Reads an aggregate CSV and a matching series CSV, attaching the series.
 /// The series file must cover exactly the workloads and counters of the
 /// aggregate file; every (workload, counter) pair needs at least one sample.
+/// A row naming an unknown workload or counter throws
+/// std::invalid_argument, located like every other error.
 CounterMatrix read_with_series_csv(const std::string& suite_name,
                                    const std::string& aggregates_path,
                                    const std::string& series_path);
@@ -97,8 +71,7 @@ CounterMatrix read_with_series_csv_text(const std::string& suite_name,
 /// In-memory CSV writers, inverses of the text readers: every value is
 /// rendered with %.17g so parsing the text recovers the exact doubles.
 /// The serving router uses these to forward in-memory matrices to worker
-/// processes without losing a bit. (The file writers above keep their
-/// historical default precision; these are a separate, lossless channel.)
+/// processes without losing a bit.
 std::string write_aggregates_csv_text(const CounterMatrix& data);
 /// Throws std::logic_error when the matrix carries no series.
 std::string write_series_csv_text(const CounterMatrix& data);

@@ -114,10 +114,7 @@ std::string_view ChunkSource::next() {
 // ---- CsvStream -------------------------------------------------------------
 
 CsvStream::CsvStream(std::istream& in, const IngestOptions& options)
-    : source_(in, options) {
-  cells_.reserve(16);
-  spans_.reserve(16);
-}
+    : source_(in, options) {}
 
 // Rows are tallied locally and flushed in one bulk add — a relaxed atomic
 // per parsed row would be the only contended write on the hot path.
@@ -174,17 +171,19 @@ bool CsvStream::next_row() {
       line.remove_prefix(3);
     }
     // The header line is surfaced even when empty (the caller owns the
-    // "bad header" diagnosis, exactly like the getline-based readers);
-    // later blank lines are skipped.
+    // "bad header" diagnosis); later blank lines are skipped.
     if (line.empty() && line_no_ > 1) continue;
-    scan_cells(line);
+    scanner_.scan(line, line_no_, line_offset_);
     ++rows_seen_;
     return true;
   }
   return false;
 }
 
-void CsvStream::scan_cells(std::string_view line) {
+// ---- CellScanner -----------------------------------------------------------
+
+void CellScanner::scan(std::string_view line, std::size_t line_no,
+                       std::uint64_t byte_offset) {
   cells_.clear();
 
   // Fast path: no quotes and no interior '\r' — every cell is a view
@@ -206,10 +205,9 @@ void CsvStream::scan_cells(std::string_view line) {
     }
   }
 
-  // Slow path: materialize into the reused escape buffer, replicating
-  // split_csv_line (core/io.cpp) byte for byte. The buffer is reserved up
-  // front so it never reallocates mid-scan (output length <= input
-  // length), keeping the recorded spans stable.
+  // Slow path: materialize into the reused escape buffer. The buffer is
+  // reserved up front so it never reallocates mid-scan (output length <=
+  // input length), keeping the recorded spans stable.
   escape_.clear();
   escape_.reserve(line.size());
   spans_.clear();
@@ -238,7 +236,7 @@ void CsvStream::scan_cells(std::string_view line) {
     }
   }
   if (quoted) {
-    throw std::runtime_error(csv_location(line_no_, line_offset_) +
+    throw std::runtime_error(csv_location(line_no, byte_offset) +
                              ": unterminated quote");
   }
   spans_.emplace_back(cell_start, escape_.size() - cell_start);

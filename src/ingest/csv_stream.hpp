@@ -1,9 +1,9 @@
 // Streaming CSV ingestion (DESIGN.md section 14).
 //
-// The core CSV readers historically slurped the whole file through
-// std::getline, which serializes disk IO behind parsing and allocates a
-// std::string per cell. For GB-scale counter files that is the ingestion
-// bottleneck. This module supplies the fast-cpp-csv-parser-style pipeline:
+// Reading a file through std::getline serializes disk IO behind parsing
+// and allocates a std::string per cell; for GB-scale counter files that is
+// the ingestion bottleneck. This module supplies the
+// fast-cpp-csv-parser-style pipeline every core/io.cpp CSV reader uses:
 //
 //   * ChunkSource — reads fixed-size chunks into a ring of reusable
 //     buffers (mem::Scratch), optionally on a dedicated IO thread so disk
@@ -15,9 +15,8 @@
 //     scans each line's cells IN PLACE: unquoted lines become
 //     string_views straight into the chunk buffer, and only lines with
 //     quotes or interior CRs are materialized into one reused escape
-//     buffer. Cell semantics are byte-identical to core/io.cpp's
-//     split_csv_line (quoted commas, doubled quotes, '\r' dropped outside
-//     quotes), and errors carry the same "CSV line N (byte M)" location.
+//     buffer (CellScanner: quoted commas, doubled quotes, '\r' dropped
+//     outside quotes). Errors carry a "CSV line N (byte M)" location.
 //   * ColumnMap — header-driven column rearrangement: permutes a source
 //     row's value cells into a caller-chosen counter order, so payloads
 //     whose columns arrive shuffled (e.g. add_workload deltas) can feed a
@@ -55,14 +54,40 @@ struct IngestOptions {
   std::size_t chunk_bytes = 1 << 20;
   /// Read chunks on a dedicated IO thread, overlapped with parsing.
   /// When false the source reads synchronously into a single buffer
-  /// (same bytes, no overlap) — useful as the 1-thread bench mode.
+  /// (same bytes, no overlap) — what in-memory payloads use.
   bool io_thread = true;
 };
 
 /// "CSV line N (byte M)" — the shared location prefix of every CSV error,
-/// used by this module and by core/io.cpp so the streamed and slurped
-/// paths throw byte-identical messages.
+/// used by this module and by core/io.cpp.
 std::string csv_location(std::size_t line_no, std::uint64_t byte_offset);
+
+/// Splits one line (no '\n') into cells: quoted cells may hold commas and
+/// doubled quotes, and '\r' is dropped outside quotes. Unquoted lines
+/// become views straight into the line; others are materialized into one
+/// reused buffer. The views stay valid until the next scan() and while the
+/// line's bytes do.
+class CellScanner {
+ public:
+  CellScanner() {
+    cells_.reserve(16);
+    spans_.reserve(16);
+  }
+
+  /// Throws std::runtime_error ("CSV line N (byte M): unterminated
+  /// quote") on a quote left open at end of line.
+  void scan(std::string_view line, std::size_t line_no,
+            std::uint64_t byte_offset);
+
+  const std::vector<std::string_view>& cells() const noexcept {
+    return cells_;
+  }
+
+ private:
+  std::string escape_;  // materialized cells of quoted/CR lines
+  std::vector<std::pair<std::size_t, std::size_t>> spans_;
+  std::vector<std::string_view> cells_;
+};
 
 /// Ordered chunk reader over an std::istream. next() returns the next
 /// chunk of the stream (valid until the following next() call), or an
@@ -117,7 +142,7 @@ class CsvStream {
   bool next_row();
 
   const std::vector<std::string_view>& cells() const noexcept {
-    return cells_;
+    return scanner_.cells();
   }
   /// 1-based line number of the current row.
   std::size_t line_no() const noexcept { return line_no_; }
@@ -126,15 +151,12 @@ class CsvStream {
 
  private:
   bool next_line(std::string_view& line);
-  void scan_cells(std::string_view line);
 
   ChunkSource source_;
   std::string_view chunk_;  // unconsumed remainder of the current chunk
   std::string carry_;       // partial line accumulated across chunks
   std::string line_buf_;    // stable storage for a carry-assembled line
-  std::string escape_;      // materialized cells of quoted/CR rows
-  std::vector<std::pair<std::size_t, std::size_t>> spans_;
-  std::vector<std::string_view> cells_;
+  CellScanner scanner_;
   std::size_t line_no_ = 0;
   std::uint64_t offset_ = 0;       // bytes consumed before the next line
   std::uint64_t line_offset_ = 0;  // byte offset of the current row

@@ -8,7 +8,7 @@
 // else (long significands, huge exponents, nan/inf, malformed cells)
 // returns false so the caller can fall back to std::from_chars, which
 // keeps the accepted/rejected input sets and every parsed bit exactly
-// equal to the slurp reader's. Counter CSVs are overwhelmingly short
+// those of from_chars alone. Counter CSVs are overwhelmingly short
 // decimals, so the fast path covers nearly every cell.
 #pragma once
 

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "core/event_group.hpp"
 #include "jobs/checkpoint.hpp"
 #include "jobs/search.hpp"
 #include "obs/histogram.hpp"
@@ -58,11 +59,6 @@ obs::Counter& cache_hits_counter() {
 obs::Histogram& candidate_latency() {
   static obs::Histogram& h = obs::histogram("jobs.candidate.latency");
   return h;
-}
-
-bool valid_events(const std::string& name) {
-  return name == "all" || name == "llc" || name == "tlb" ||
-         name == "branch";
 }
 
 }  // namespace
@@ -217,7 +213,7 @@ SubmitOutcome Scheduler::submit(const JobSpec& spec) {
     return reject("bad_request",
                   "submit carries neither a suite name nor CSV data");
   }
-  if (!valid_events(spec.events)) {
+  if (!core::EventGroup::find(spec.events)) {
     return reject("bad_request", "unknown event group '" + spec.events + "'");
   }
   if (spec.candidates == 0) {

@@ -8,10 +8,7 @@
 #include "core/io.hpp"
 #include "sampling/latin_hypercube.hpp"
 #include "sampling/representative.hpp"
-#include "sim/machine_config.hpp"
-#include "sim/simulator.hpp"
 #include "stats/normalize.hpp"
-#include "suites/suite_factory.hpp"
 
 namespace perspector::jobs {
 
@@ -51,25 +48,9 @@ std::uint64_t digest_spec(const JobSpec& spec, std::uint64_t basis) {
   return hash;
 }
 
-core::EventGroup event_group_by_name(const std::string& name) {
-  if (name == "all") return core::EventGroup::all();
-  if (name == "llc") return core::EventGroup::llc();
-  if (name == "tlb") return core::EventGroup::tlb();
-  if (name == "branch") return core::EventGroup::branch();
-  throw std::invalid_argument("unknown event group '" + name + "'");
-}
-
 core::CounterMatrix resolve_suite(const JobSpec& spec) {
   if (!spec.builtin.empty()) {
-    suites::SuiteBuildOptions build;
-    build.instructions_per_workload = spec.instructions;
-    // Identical to serve's builtin path: ~100 samples per workload.
-    sim::SimOptions sim_options;
-    sim_options.sample_interval =
-        std::max<std::uint64_t>(spec.instructions / 100, 1);
-    return core::collect_counters(suites::suite_by_name(spec.builtin, build),
-                                  sim::MachineConfig::xeon_e2186g(),
-                                  sim_options);
+    return core::simulate_builtin(spec.builtin, spec.instructions);
   }
   if (spec.csv_text.empty()) {
     throw std::invalid_argument(
@@ -100,7 +81,7 @@ SubsetSearch::SubsetSearch(const JobSpec& spec)
         "target size must be smaller than the suite (" +
         std::to_string(suite_.num_workloads()) + " workloads)");
   }
-  scoring_.events = event_group_by_name(spec_.events);
+  scoring_.events = core::EventGroup::by_name(spec_.events);
   scoring_.compute_trend = suite_.has_series();
   engine_ = std::make_unique<core::Perspector>(scoring_);
 

@@ -23,8 +23,6 @@
 #include "par/parallel.hpp"
 #include "par/thread_pool.hpp"
 #include "serve/protocol.hpp"
-#include "sim/machine_config.hpp"
-#include "sim/simulator.hpp"
 #include "suites/suite_factory.hpp"
 
 namespace perspector::serve {
@@ -106,14 +104,6 @@ ScoreResponse error_response(const std::string& id, std::string error,
   return response;
 }
 
-core::EventGroup event_group_by_name(const std::string& name) {
-  if (name == "all") return core::EventGroup::all();
-  if (name == "llc") return core::EventGroup::llc();
-  if (name == "tlb") return core::EventGroup::tlb();
-  if (name == "branch") return core::EventGroup::branch();
-  throw std::runtime_error("unknown event group '" + name + "'");
-}
-
 MutateResponse mutate_error(const MutateRequest& request, std::string error,
                             std::string message) {
   MutateResponse response;
@@ -128,24 +118,8 @@ MutateResponse mutate_error(const MutateRequest& request, std::string error,
 
 }  // namespace
 
-bool is_event_group(const std::string& name) {
-  return name == "all" || name == "llc" || name == "tlb" || name == "branch";
-}
-
 bool is_builtin_suite(const std::string& name) {
   return suites::is_builtin_suite(name);
-}
-
-core::CounterMatrix simulate_builtin(const std::string& name,
-                                     std::uint64_t instructions) {
-  suites::SuiteBuildOptions build;
-  build.instructions_per_workload = instructions;
-  const sim::SuiteSpec spec = suites::suite_by_name(name, build);
-  // Identical to cmd_demo: ~100 samples per workload, floor of 1.
-  sim::SimOptions sim_options;
-  sim_options.sample_interval = std::max<std::uint64_t>(instructions / 100, 1);
-  return core::collect_counters(spec, sim::MachineConfig::xeon_e2186g(),
-                                sim_options);
 }
 
 Engine::Engine(EngineOptions options)
@@ -338,7 +312,8 @@ ScoreResponse Engine::compute_with(const ScoreRequest& request,
     // event filter, core::suite_report on the *unfiltered* data — the
     // same call sequence cmd_score/cmd_demo make.
     core::PerspectorOptions scoring;
-    scoring.events = event_group_by_name(request.events);
+    scoring.events =
+        core::EventGroup::by_name<std::runtime_error>(request.events);
     obs::Span span("serve.score");
     const auto scores =
         core::Perspector(scoring).score_suites({data}, workspace).front();
@@ -390,10 +365,8 @@ ScoreResponse Engine::score_inner(const ScoreRequest& request) {
                                  "' (try: perspector suites)");
       }
     }
-    if (!is_event_group(request.events)) {
-      throw std::runtime_error("unknown event group '" + request.events +
-                               "'");
-    }
+    // Validates the name; the group itself is built when scoring.
+    core::EventGroup::by_name<std::runtime_error>(request.events);
   } catch (const std::exception& e) {
     errors_counter().increment();
     return error_response(request.id, "bad_request", e.what());
@@ -655,7 +628,7 @@ MutateResponse Engine::mutate_inner(const MutateRequest& request) {
   requests_counter().increment();
   mutations_counter().increment();
 
-  if (!is_event_group(request.events)) {
+  if (!core::EventGroup::find(request.events)) {
     errors_counter().increment();
     return mutate_error(request, "bad_request",
                         "unknown event group '" + request.events + "'");
@@ -768,7 +741,8 @@ MutateResponse Engine::mutate_inner(const MutateRequest& request) {
   if (!resident->workspace->trend_primed()) resident->events = request.events;
   if (resident->workspace->trend_usable()) {
     try {
-      const auto group = event_group_by_name(resident->events);
+      const auto group =
+          core::EventGroup::by_name<std::runtime_error>(resident->events);
       std::optional<core::CounterMatrix> filtered;
       const core::CounterMatrix* view = &*next;
       if (!group.is_all()) {

@@ -63,5 +63,24 @@ TEST(EventGroup, IndicesPreserveAvailableOrder) {
   EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1}));
 }
 
+TEST(EventGroup, LooksUpPresetsByName) {
+  for (const char* name : {"all", "llc", "tlb", "branch"}) {
+    const auto group = EventGroup::find(name);
+    ASSERT_TRUE(group.has_value()) << name;
+    EXPECT_EQ(group->name(), name);
+    EXPECT_EQ(EventGroup::by_name(name).name(), name);
+  }
+  EXPECT_FALSE(EventGroup::find("LLC").has_value());
+  EXPECT_FALSE(EventGroup::find("").has_value());
+  // The caller picks the error type; the message is the same for all.
+  try {
+    EventGroup::by_name<std::runtime_error>("bogus");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unknown event group 'bogus'");
+  }
+  EXPECT_THROW(EventGroup::by_name("bogus"), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace perspector::core

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace perspector::core {
 namespace {
@@ -206,11 +209,67 @@ TEST(IoText, InMemoryReadersMatchFileReaders) {
   }
 }
 
+/// The message of the std::invalid_argument `read` throws, or "".
+template <typename Read>
+std::string invalid_argument_of(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST_F(IoTest, SeriesRejectsUnknownNames) {
-  const auto agg = make("a3.csv", "workload,c0\nw0,1\n");
-  const auto ser =
-      make("s3.csv", "workload,counter,sample,value\nmystery,c0,0,5\n");
-  EXPECT_THROW(read_with_series_csv("s", agg, ser), std::invalid_argument);
+  // "workload,counter,sample,value\n" is 30 bytes: the bad row is line 2
+  // at byte 30, in the file, the inline text and an append_samples delta.
+  const std::string aggregates = "workload,c0\nw0,1\n";
+  const std::string head = "workload,counter,sample,value\n";
+  const auto agg = make("a3.csv", aggregates);
+  const CounterMatrix base = read_with_series_csv_text(
+      "s", aggregates, head + "w0,c0,0,1\n");
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"mystery,c0,0,5\n",
+       "CSV line 2 (byte 30): CounterMatrix: unknown workload 'mystery'"},
+      {"w0,mystery,0,5\n",
+       "CSV line 2 (byte 30): CounterMatrix: unknown counter 'mystery'"},
+  };
+  for (const auto& [row, error] : cases) {
+    const auto ser = make("s3.csv", head + row);
+    EXPECT_EQ(invalid_argument_of(
+                  [&] { read_with_series_csv("s", agg, ser); }),
+              error);
+    EXPECT_EQ(invalid_argument_of([&] {
+                read_with_series_csv_text("s", aggregates, head + row);
+              }),
+              error);
+    EXPECT_EQ(invalid_argument_of(
+                  [&] { append_samples_csv_text(base, head + row); }),
+              error);
+  }
+}
+
+TEST_F(IoTest, FileWritersAreLossless) {
+  // Values that need all 17 significant digits to survive a round trip.
+  la::Matrix values{{0.1 + 0.2, 1.0 / 3}, {2.0 / 3, 1e-300 / 7}};
+  std::vector<std::vector<std::vector<double>>> series{
+      {{0.1 + 0.2, 1.0 / 7}, {1.0 / 3}},
+      {{2.0 / 3}, {123456789.123456789, -1.0 / 9}},
+  };
+  const CounterMatrix m("exact", {"w0", "w1"}, {"c0", "c1"}, values, series);
+  const std::string agg = path("exact_agg.csv");
+  const std::string ser = path("exact_ser.csv");
+  created_.push_back(agg);
+  created_.push_back(ser);
+  write_aggregates_csv(m, agg);
+  write_series_csv(m, ser);
+  const CounterMatrix back = read_with_series_csv("exact", agg, ser);
+  EXPECT_TRUE(back.values() == m.values());
+  for (std::size_t w = 0; w < 2; ++w) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(back.series(w, c), m.series(w, c)) << w << "," << c;
+    }
+  }
 }
 
 TEST(PerfStat, ParsesTypicalOutput) {

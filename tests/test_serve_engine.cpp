@@ -32,18 +32,11 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { par::set_thread_count(0); }
 };
 
-core::EventGroup group_by_name(const std::string& name) {
-  if (name == "llc") return core::EventGroup::llc();
-  if (name == "tlb") return core::EventGroup::tlb();
-  if (name == "branch") return core::EventGroup::branch();
-  return core::EventGroup::all();
-}
-
 /// The reference: exactly what `perspector demo`/`perspector score` print.
 std::string one_shot_report(const core::CounterMatrix& data,
                             const std::string& events = "all") {
   core::PerspectorOptions options;
-  options.events = group_by_name(events);
+  options.events = core::EventGroup::by_name(events);
   const auto scores = core::Perspector(options).score_suite(data);
   return core::suite_report(data, scores);
 }
