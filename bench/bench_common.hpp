@@ -59,8 +59,11 @@ class TraceSession {
     }
     const auto summary = obs::Tracer::instance().phase_summary();
     if (summary.empty()) return;
+    // The tracer's epoch is this session's constructor, at program start.
     std::cerr << "\n--- per-phase timing (obs; nested spans overlap) ---\n"
-              << core::phase_timing_table(summary).to_text();
+              << core::phase_timing_table(summary,
+                                          obs::Tracer::instance().now_us())
+                     .to_text();
   }
 };
 

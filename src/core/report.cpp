@@ -168,19 +168,12 @@ std::string suite_report(const CounterMatrix& suite,
 
 Table phase_timing_table(const std::vector<obs::PhaseStat>& summary,
                          double wall_us) {
-  double reference = wall_us;
-  if (reference <= 0.0) {
-    for (const auto& stat : summary) {
-      reference = std::max(reference, stat.total_us);
-    }
-  }
   Table table({"phase", "calls", "total ms", "mean ms", "min ms", "max ms",
                "% wall"});
   for (const auto& stat : summary) {
     const double mean_us =
         stat.count ? stat.total_us / static_cast<double>(stat.count) : 0.0;
-    const double pct =
-        reference > 0.0 ? 100.0 * stat.total_us / reference : 0.0;
+    const double pct = wall_us > 0.0 ? 100.0 * stat.total_us / wall_us : 0.0;
     table.add_row({stat.name, std::to_string(stat.count),
                    format_double(stat.total_us / 1000.0, 3),
                    format_double(mean_us / 1000.0, 3),

@@ -57,11 +57,13 @@ Table workload_rates_table(const CounterMatrix& suite);
 std::string suite_report(const CounterMatrix& suite,
                          const SuiteScores& scores);
 
-/// Per-phase wall-clock breakdown of recorded trace spans. Percentages are
-/// relative to `wall_us` when positive, otherwise to the largest phase
-/// total (nested spans overlap, so totals do not sum to the wall clock).
+/// Per-phase wall-clock breakdown of recorded trace spans. "% wall" is a
+/// phase's total over `wall_us`, the wall time of the traced run (0.0 when
+/// `wall_us` is not positive). Nested spans overlap and a phase summed
+/// across threads (par.task) can exceed 100, so the column does not add up
+/// to 100.
 Table phase_timing_table(const std::vector<obs::PhaseStat>& summary,
-                         double wall_us = 0.0);
+                         double wall_us);
 
 /// All registered obs counters (name, value), sorted by name.
 Table counters_table(const std::vector<obs::CounterSnapshot>& counters);

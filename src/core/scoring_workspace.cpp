@@ -62,27 +62,31 @@ void ScoringWorkspace::prime_trend(const CounterMatrix& suite,
     });
 
     // Full pairwise DTW matrices, flattened over (counter, pair) so the
-    // whole prime is one parallel region; task t writes only its own (i,j)
-    // and (j,i) of its own counter matrix.
+    // whole prime is one batch; pair t = c * pairs + p lands in slot t and
+    // is scattered to (i, j) and (j, i) of its own counter matrix.
     dtw::DtwOptions dtw_options;
     dtw_options.band_fraction = options.dtw_band_fraction;
     const std::size_t pairs = n * (n - 1) / 2;
-    std::vector<std::pair<std::size_t, std::size_t>> index;
-    index.reserve(pairs);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) index.emplace_back(i, j);
+    std::vector<dtw::DtwPair> work;
+    work.reserve(m * pairs);
+    for (std::size_t c = 0; c < m; ++c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+          work.push_back({trends_[i * m + c], trends_[j * m + c]});
+        }
+      }
     }
+    std::vector<double> dist(work.size());
+    dtw::dtw_distances(work, dtw_options, dist);
     per_counter_.assign(m, la::Matrix(n, n, 0.0));
-    par::parallel_for(m * pairs, [&](std::size_t t) {
-      const std::size_t c = t / pairs;
-      const auto [i, j] = index[t % pairs];
-      const double dist =
-          dtw::dtw_distance(trends_[i * m + c], trends_[j * m + c],
-                            dtw_options)
-              .distance;
-      per_counter_[c](i, j) = dist;
-      per_counter_[c](j, i) = dist;
-    });
+    for (std::size_t c = 0, t = 0; c < m; ++c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j, ++t) {
+          per_counter_[c](i, j) = dist[t];
+          per_counter_[c](j, i) = dist[t];
+        }
+      }
+    }
     primes.increment();
   }
 
@@ -130,18 +134,26 @@ bool ScoringWorkspace::upsert_row(const CounterMatrix& suite, std::size_t row,
   }
 
   // One DTW strip — the new row against every live row, all counters — as
-  // a single parallel region; task t writes only its own (j, r)/(r, j).
+  // a single batch; pair t = c * k + (index of j in live) fills (j, r) and
+  // (r, j).
   dtw::DtwOptions dtw_options;
   dtw_options.band_fraction = options_.dtw_band_fraction;
   const std::size_t k = live.size();
-  par::parallel_for(m * k, [&](std::size_t t) {
+  std::vector<dtw::DtwPair> work;
+  work.reserve(m * k);
+  for (std::size_t c = 0; c < m; ++c) {
+    for (const std::size_t j : live) {
+      work.push_back({trends_[j * m + c], fresh[c]});
+    }
+  }
+  std::vector<double> dist(work.size());
+  dtw::dtw_distances(work, dtw_options, dist);
+  for (std::size_t t = 0; t < work.size(); ++t) {
     const std::size_t c = t / k;
     const std::size_t j = live[t % k];
-    const double dist =
-        dtw::dtw_distance(trends_[j * m + c], fresh[c], dtw_options).distance;
-    per_counter_[c](j, r) = dist;
-    per_counter_[c](r, j) = dist;
-  });
+    per_counter_[c](j, r) = dist[t];
+    per_counter_[c](r, j) = dist[t];
+  }
 
   trends_.reserve(trends_.size() + m);
   for (std::size_t c = 0; c < m; ++c) trends_.push_back(std::move(fresh[c]));

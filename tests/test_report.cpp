@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace perspector::core {
 namespace {
@@ -91,6 +93,28 @@ TEST(ScoreLegend, MentionsDirections) {
   const std::string legend = score_legend();
   EXPECT_NE(legend.find("lower"), std::string::npos);
   EXPECT_NE(legend.find("higher"), std::string::npos);
+}
+
+// "% wall" is each phase's total over the run's wall time, not over the
+// largest phase: par.task summed across threads may exceed 100, and no
+// phase reads 100.0 just for being the largest.
+TEST(PhaseTimingTable, PercentOfWallUsesTheWallTime) {
+  std::vector<obs::PhaseStat> summary(2);
+  summary[0].name = "par.task";
+  summary[0].count = 8;
+  summary[0].total_us = 3000.0;
+  summary[1].name = "trend_score";
+  summary[1].count = 1;
+  summary[1].total_us = 500.0;
+  const std::string text = phase_timing_table(summary, 2000.0).to_csv();
+  EXPECT_NE(text.find("par.task,8,3.000,0.375,0.000,0.000,150.0\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("trend_score,1,0.500,0.500,0.000,0.000,25.0\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(phase_timing_table(summary, 0.0).to_csv().find(",0.0\n"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -834,8 +834,10 @@ void emit_observability(const Args& args) {
   const auto& tracer = obs::Tracer::instance();
   const auto summary = tracer.phase_summary();
   if (!summary.empty() && (trace_path || metrics)) {
+    // --trace/--metrics enable the tracer at the top of main, so its epoch
+    // (first use) is no later than that and now_us() is the wall time.
     std::cout << "\n--- per-phase timing (nested spans overlap) ---\n"
-              << core::phase_timing_table(summary).to_text();
+              << core::phase_timing_table(summary, tracer.now_us()).to_text();
   }
   if (metrics) {
     std::cout << "\n--- pipeline metrics ---\n"
