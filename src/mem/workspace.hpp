@@ -1,10 +1,11 @@
 // Reusable per-thread scratch workspaces (DESIGN.md section 9).
 //
-// Hot kernels (DTW rolling rows, silhouette accumulators, k-means seeding
-// buffers) used to heap-allocate their temporaries on every call — inside
-// parallel_for chunks that means thousands of allocator round trips per
-// score. A Scratch<T> borrows a buffer from a thread-local free list and
-// returns it on scope exit, so steady-state kernel calls allocate nothing.
+// Hot kernels (DTW diagonals and lane rows, silhouette accumulators,
+// k-means seeding buffers) used to heap-allocate their temporaries on
+// every call — inside parallel_for chunks that means thousands of
+// allocator round trips per score. A Scratch<T> borrows a buffer from a
+// thread-local free list and returns it on scope exit, so steady-state
+// kernel calls allocate nothing.
 //
 // Ownership rules:
 //   * a Scratch must be acquired and released on the same thread (RAII
