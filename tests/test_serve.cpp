@@ -4,9 +4,15 @@
 // parser/serializers.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
 
 #include "core/counter_matrix.hpp"
+#include "jobs/job.hpp"
+#include "obs/histogram.hpp"
+#include "obs/metrics.hpp"
 #include "serve/content_hash.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
@@ -310,6 +316,500 @@ TEST(ServeProtocol, MutateResponseRoundTripsExactly) {
   EXPECT_EQ(error_back.error, "bad_request");
   EXPECT_EQ(error_back.message, error.message);
   EXPECT_FALSE(parse_mutate_response("not json", error_back));
+}
+
+// ---- wire pins --------------------------------------------------------------
+//
+// Literal bytes of every line the serializers emit. The router's byte
+// identity and every client script depend on these exact strings, so a
+// codec change must leave each one untouched.
+
+constexpr std::uint64_t kTrace = 0x9f86d081884c7d65ull;
+
+TEST(ServeWirePins, ScoreResponses) {
+  ScoreResponse ok;
+  ok.id = "r1";
+  ok.ok = true;
+  ok.cache_hit = true;
+  ok.report = "a\nb\t\"q\" \\ \x01";
+  EXPECT_EQ(serialize_response(ok),
+            "{\"id\":\"r1\",\"ok\":true,\"cache\":\"hit\","
+            "\"report\":\"a\\nb\\t\\\"q\\\" \\\\ \\u0001\"}\n");
+  ok.id.clear();
+  ok.cache_hit = false;
+  ok.trace_id = kTrace;
+  ok.report = "r";
+  EXPECT_EQ(serialize_response(ok),
+            "{\"ok\":true,\"cache\":\"miss\",\"trace\":\"9f86d081884c7d65\","
+            "\"report\":\"r\"}\n");
+
+  ScoreResponse error;
+  error.id = "e";
+  error.error = "internal";
+  error.message = "boom";
+  EXPECT_EQ(serialize_response(error),
+            "{\"id\":\"e\",\"ok\":false,\"error\":\"internal\","
+            "\"message\":\"boom\"}\n");
+  error.trace_id = 0xab;
+  EXPECT_EQ(serialize_response(error),
+            "{\"id\":\"e\",\"ok\":false,\"error\":\"internal\","
+            "\"message\":\"boom\",\"trace\":\"00000000000000ab\"}\n");
+  EXPECT_EQ(serialize_error("", "overloaded", "queue full"),
+            "{\"ok\":false,\"error\":\"overloaded\",\"message\":\"queue "
+            "full\"}\n");
+}
+
+TEST(ServeWirePins, MutateResponses) {
+  MutateResponse ok;
+  ok.id = "m0";
+  ok.ok = true;
+  ok.suite = "live";
+  ok.version = 3;
+  ok.report = "rep\n";
+  EXPECT_EQ(serialize_mutate_response(ok),
+            "{\"id\":\"m0\",\"ok\":true,\"suite\":\"live\",\"version\":3,"
+            "\"cache\":\"miss\",\"report\":\"rep\\n\"}\n");
+  ok.cache_hit = true;
+  ok.trace_id = kTrace;
+  EXPECT_EQ(serialize_mutate_response(ok),
+            "{\"id\":\"m0\",\"ok\":true,\"suite\":\"live\",\"version\":3,"
+            "\"cache\":\"hit\",\"trace\":\"9f86d081884c7d65\","
+            "\"report\":\"rep\\n\"}\n");
+
+  MutateResponse error;
+  error.id = "m1";
+  error.error = "bad_request";
+  error.message = "unknown resident suite 'x'";
+  error.trace_id = 1;
+  EXPECT_EQ(serialize_mutate_response(error),
+            "{\"id\":\"m1\",\"ok\":false,\"error\":\"bad_request\","
+            "\"message\":\"unknown resident suite 'x'\","
+            "\"trace\":\"0000000000000001\"}\n");
+}
+
+jobs::JobStatus pinned_status() {
+  jobs::JobStatus status;
+  status.id = "0123456789abcdef";
+  status.state = jobs::JobState::Running;
+  status.client = "alice";
+  status.evaluated = 5;
+  status.total = 8;
+  return status;
+}
+
+jobs::BestCandidate pinned_best() {
+  jobs::BestCandidate best;
+  best.valid = true;
+  best.candidate = 3;
+  best.deviation_pct = 0.1;
+  best.per_score_deviation_pct = {1.0, 2.5, -0.0, 1e-300};
+  best.indices = {1, 4};
+  best.names = {"a", "b\"c"};
+  return best;
+}
+
+constexpr const char* kPinnedBest =
+    "\"best\":{\"candidate\":3,\"deviation_pct\":0.10000000000000001,"
+    "\"per_score_deviation_pct\":[1,2.5,-0,1e-300],"
+    "\"indices\":[1,4],\"subset\":[\"a\",\"b\\\"c\"]}";
+
+TEST(ServeWirePins, JobResponses) {
+  JobResponse submit;
+  submit.id = "s";
+  submit.op = JobOp::Submit;
+  submit.ok = true;
+  submit.status = pinned_status();
+  submit.status.state = jobs::JobState::Queued;
+  submit.duplicate = true;
+  EXPECT_EQ(serialize_job_response(submit),
+            "{\"id\":\"s\",\"ok\":true,\"job\":\"0123456789abcdef\","
+            "\"state\":\"queued\",\"client\":\"alice\",\"evaluated\":5,"
+            "\"total\":8,\"resumed\":false,\"duplicate\":true}\n");
+
+  JobResponse status;
+  status.op = JobOp::Status;
+  status.ok = true;
+  status.status = pinned_status();
+  status.status.state = jobs::JobState::Failed;
+  status.status.resumed = true;
+  status.status.best = pinned_best();
+  status.status.error = "disk full";
+  status.trace_id = kTrace;
+  EXPECT_EQ(serialize_job_response(status),
+            std::string("{\"ok\":true,\"job\":\"0123456789abcdef\","
+                        "\"state\":\"failed\",\"client\":\"alice\","
+                        "\"evaluated\":5,\"total\":8,\"resumed\":true,") +
+                kPinnedBest +
+                ",\"detail\":\"disk full\",\"trace\":\"9f86d081884c7d65\"}\n");
+
+  JobResponse watch;
+  watch.id = "w";
+  watch.op = JobOp::Watch;
+  watch.ok = true;
+  watch.status = pinned_status();
+  watch.next = 4;
+  jobs::JobProgress plain;
+  plain.seq = 2;
+  plain.evaluated = 1;
+  plain.total = 8;
+  jobs::JobProgress with_best = plain;
+  with_best.seq = 3;
+  with_best.best = pinned_best();
+  watch.progress = {plain, with_best};
+  EXPECT_EQ(serialize_job_response(watch),
+            std::string("{\"id\":\"w\",\"ok\":true,"
+                        "\"job\":\"0123456789abcdef\",\"state\":\"running\","
+                        "\"client\":\"alice\",\"evaluated\":5,\"total\":8,"
+                        "\"resumed\":false,\"progress\":[{\"seq\":2,"
+                        "\"evaluated\":1,\"total\":8},{\"seq\":3,"
+                        "\"evaluated\":1,\"total\":8,") +
+                kPinnedBest + "}],\"next\":4}\n");
+  watch.progress.clear();
+  EXPECT_EQ(serialize_job_response(watch),
+            "{\"id\":\"w\",\"ok\":true,\"job\":\"0123456789abcdef\","
+            "\"state\":\"running\",\"client\":\"alice\",\"evaluated\":5,"
+            "\"total\":8,\"resumed\":false,\"progress\":[],\"next\":4}\n");
+
+  JobResponse cancel;
+  cancel.id = "c";
+  cancel.op = JobOp::Cancel;
+  cancel.ok = true;
+  cancel.status = pinned_status();
+  cancel.status.state = jobs::JobState::Cancelled;
+  cancel.status.client.clear();
+  cancel.worker = 2;
+  EXPECT_EQ(serialize_job_response(cancel),
+            "{\"id\":\"c\",\"ok\":true,\"job\":\"0123456789abcdef\","
+            "\"state\":\"cancelled\",\"client\":\"\",\"evaluated\":5,"
+            "\"total\":8,\"resumed\":false,\"worker\":2}\n");
+
+  JobResponse list;
+  list.id = "l";
+  list.op = JobOp::List;
+  list.ok = true;
+  EXPECT_EQ(serialize_job_response(list),
+            "{\"id\":\"l\",\"ok\":true,\"jobs\":[]}\n");
+  jobs::JobStatus done = pinned_status();
+  done.id = "fedcba9876543210";
+  done.state = jobs::JobState::Done;
+  list.jobs = {pinned_status(), done};
+  list.trace_id = kTrace;
+  list.worker = 0;
+  EXPECT_EQ(serialize_job_response(list),
+            "{\"id\":\"l\",\"ok\":true,\"jobs\":[{\"job\":\"0123456789abcdef\","
+            "\"state\":\"running\",\"client\":\"alice\",\"evaluated\":5,"
+            "\"total\":8,\"resumed\":false},{\"job\":\"fedcba9876543210\","
+            "\"state\":\"done\",\"client\":\"alice\",\"evaluated\":5,"
+            "\"total\":8,\"resumed\":false}],"
+            "\"trace\":\"9f86d081884c7d65\",\"worker\":0}\n");
+
+  // Errors use the common error shape; "worker" is never written on them.
+  JobResponse error;
+  error.id = "x";
+  error.error = "unavailable";
+  error.message = "no worker available";
+  error.trace_id = kTrace;
+  error.worker = 1;
+  EXPECT_EQ(serialize_job_response(error),
+            "{\"id\":\"x\",\"ok\":false,\"error\":\"unavailable\","
+            "\"message\":\"no worker available\","
+            "\"trace\":\"9f86d081884c7d65\"}\n");
+}
+
+TEST(ServeWirePins, ControlResponses) {
+  EXPECT_EQ(serialize_ping(""), "{\"ok\":true,\"pong\":true}\n");
+  EXPECT_EQ(serialize_ping("p"), "{\"id\":\"p\",\"ok\":true,\"pong\":true}\n");
+  EXPECT_EQ(serialize_shutdown("s"),
+            "{\"id\":\"s\",\"ok\":true,\"shutting_down\":true}\n");
+  EXPECT_EQ(serialize_shard_stats("h", "router", {}),
+            "{\"id\":\"h\",\"ok\":true,\"mode\":\"router\",\"workers\":[]}\n");
+  WorkerStat dead;
+  dead.worker = 1;
+  dead.pid = -1;
+  dead.restarts = 2;
+  WorkerStat live;
+  live.worker = 0;
+  live.pid = 4242;
+  live.alive = true;
+  live.forwarded = 17;
+  EXPECT_EQ(serialize_shard_stats("", "engine", {live, dead}),
+            "{\"ok\":true,\"mode\":\"engine\",\"workers\":[{\"worker\":0,"
+            "\"pid\":4242,\"alive\":true,\"restarts\":0,\"forwarded\":17},"
+            "{\"worker\":1,\"pid\":-1,\"alive\":false,\"restarts\":2,"
+            "\"forwarded\":0}]}\n");
+  EXPECT_EQ(serialize_worker_hello(3, 4242),
+            "{\"hello\":\"perspector-worker/1\",\"worker\":3,\"pid\":4242}\n");
+}
+
+TEST(ServeWirePins, StatsAndMetrics) {
+  obs::Histogram& histogram = obs::histogram("test.pin.latency");
+  histogram.reset();
+  histogram.record(1.0);
+  histogram.record(3.0);
+
+  // Histogram sketches are process-global, so the pin fixes the prefix
+  // and this test's own entry; the rest of the section is shared with
+  // the metrics line below.
+  const std::string stats = serialize_stats("st");
+  const std::string stats_prefix = "{\"id\":\"st\",\"ok\":true,\"histograms\":{";
+  ASSERT_EQ(stats.substr(0, stats_prefix.size()), stats_prefix);
+  ASSERT_EQ(stats.substr(stats.size() - 3), "}}\n");
+  const std::string entry_text = [&] {
+    const obs::HistogramStats s = histogram.stats();
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "\"test.pin.latency\":{\"count\":2,\"min\":%.17g,"
+                  "\"max\":%.17g,\"mean\":%.17g,\"p50\":%.17g,\"p90\":%.17g,"
+                  "\"p99\":%.17g,\"p999\":%.17g}",
+                  s.min, s.max, s.mean(), s.p50, s.p90, s.p99, s.p999);
+    return std::string(buf);
+  }();
+  EXPECT_NE(stats.find(entry_text), std::string::npos) << stats;
+  // The histograms object alone ("{...}}\n" tail of the stats line).
+  const std::string histograms =
+      stats.substr(std::string("{\"id\":\"st\",\"ok\":true,").size());
+
+  const std::map<std::string, std::uint64_t> counters = {
+      {"a.count", 3}, {"b\"q", 18446744073709551615ull}};
+  obs::DistributionStats stats_a;
+  stats_a.count = 2;
+  stats_a.min = 0.5;
+  stats_a.max = 1.5;
+  stats_a.sum = 2.0;
+  const std::map<std::string, obs::DistributionStats> distributions = {
+      {"serve.request_us", stats_a}, {"z.empty", obs::DistributionStats{}}};
+  EXPECT_EQ(serialize_metrics_merged("m", counters, distributions),
+            "{\"id\":\"m\",\"ok\":true,\"counters\":{\"a.count\":3,"
+            "\"b\\\"q\":18446744073709551615},\"distributions\":{"
+            "\"serve.request_us\":{\"count\":2,\"min\":0.5,\"max\":1.5,"
+            "\"sum\":2,\"mean\":1},\"z.empty\":{\"count\":0,\"min\":0,"
+            "\"max\":0,\"sum\":0,\"mean\":0}}," +
+                histograms);
+  EXPECT_EQ(serialize_metrics_merged("", {}, {}),
+            "{\"ok\":true,\"counters\":{},\"distributions\":{}," + histograms);
+
+  // The local metrics line is the merged writer over the local registry.
+  std::map<std::string, std::uint64_t> local_counters;
+  for (const auto& snapshot : obs::counters_snapshot()) {
+    local_counters[snapshot.name] = snapshot.value;
+  }
+  std::map<std::string, obs::DistributionStats> local_distributions;
+  for (const auto& snapshot : obs::distributions_snapshot()) {
+    local_distributions[snapshot.name] = snapshot.stats;
+  }
+  EXPECT_EQ(serialize_metrics("q"),
+            serialize_metrics_merged("q", local_counters, local_distributions));
+}
+
+TEST(ServeWirePins, ForwardedScoreRequests) {
+  ScoreRequest builtin;
+  builtin.id = "7";
+  builtin.builtin = "nbench";
+  builtin.instructions = 20000;
+  builtin.events = "llc";
+  EXPECT_EQ(serialize_score_request(builtin),
+            "{\"op\":\"score\",\"id\":\"7\",\"events\":\"llc\","
+            "\"suite\":\"nbench\",\"instructions\":20000}\n");
+  builtin.trace_id = kTrace;
+  builtin.content_key = Key128{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  EXPECT_EQ(serialize_score_request(builtin),
+            "{\"op\":\"score\",\"id\":\"7\",\"trace\":\"9f86d081884c7d65\","
+            "\"key\":\"0123456789abcdeffedcba9876543210\",\"events\":\"llc\","
+            "\"suite\":\"nbench\",\"instructions\":20000}\n");
+
+  ScoreRequest csv;
+  csv.csv_name = "mini";
+  csv.csv_text = "workload,c0\na,1\n";
+  csv.series_text = "workload,counter,sample,value\na,c0,0,1\n";
+  EXPECT_EQ(serialize_score_request(csv),
+            "{\"op\":\"score\",\"events\":\"all\",\"name\":\"mini\","
+            "\"csv\":\"workload,c0\\na,1\\n\",\"series_csv\":"
+            "\"workload,counter,sample,value\\na,c0,0,1\\n\"}\n");
+  csv.series_text.clear();
+  csv.trace_id = 2;
+  EXPECT_EQ(serialize_score_request(csv),
+            "{\"op\":\"score\",\"trace\":\"0000000000000002\","
+            "\"events\":\"all\",\"name\":\"mini\","
+            "\"csv\":\"workload,c0\\na,1\\n\"}\n");
+
+  ScoreRequest direct;
+  direct.id = "d";
+  direct.data = std::make_shared<const core::CounterMatrix>(
+      tiny_matrix("suite", 0.5));
+  direct.content_key = Key128{1, 2};
+  EXPECT_EQ(serialize_score_request(direct),
+            "{\"op\":\"score\",\"id\":\"d\","
+            "\"key\":\"00000000000000010000000000000002\",\"events\":\"all\","
+            "\"name\":\"suite\",\"csv\":\"workload,c0,c1\\nw0,0.5,1.5\\n"
+            "w1,2.5,3.5\\n\"}\n");
+
+  EXPECT_THROW(serialize_score_request(ScoreRequest{}), std::runtime_error);
+}
+
+TEST(ServeWirePins, ForwardedMutateAndJobRequests) {
+  MutateRequest load;
+  load.id = "m0";
+  load.op = MutateOp::LoadSuite;
+  load.suite = "live";
+  load.csv_text = "workload,c0\na,1\n";
+  load.series_text = "s";
+  load.trace_id = kTrace;
+  EXPECT_EQ(serialize_mutate_request(load),
+            "{\"op\":\"load_suite\",\"id\":\"m0\","
+            "\"trace\":\"9f86d081884c7d65\",\"suite\":\"live\","
+            "\"events\":\"all\",\"csv\":\"workload,c0\\na,1\\n\","
+            "\"series_csv\":\"s\"}\n");
+  MutateRequest drop;
+  drop.op = MutateOp::DropWorkload;
+  drop.suite = "live";
+  drop.workload = "a";
+  drop.events = "tlb";
+  EXPECT_EQ(serialize_mutate_request(drop),
+            "{\"op\":\"drop_workload\",\"suite\":\"live\",\"events\":\"tlb\","
+            "\"workload\":\"a\"}\n");
+
+  JobRequest submit;
+  submit.id = "s";
+  submit.op = JobOp::Submit;
+  submit.spec.builtin = "nbench";
+  submit.spec.instructions = 2000;
+  submit.spec.target_size = 4;
+  submit.spec.candidates = 8;
+  submit.spec.seed = 7;
+  EXPECT_EQ(serialize_job_request(submit),
+            "{\"op\":\"generate_submit\",\"id\":\"s\",\"events\":\"all\","
+            "\"instructions\":2000,\"size\":4,\"candidates\":8,\"seed\":7,"
+            "\"suite\":\"nbench\"}\n");
+  submit.id.clear();
+  submit.trace_id = kTrace;
+  submit.spec.builtin.clear();
+  submit.spec.csv_name = "up";
+  submit.spec.csv_text = "workload,c\na,1\n";
+  submit.spec.series_text = "x";
+  submit.spec.client = "bob";
+  EXPECT_EQ(serialize_job_request(submit),
+            "{\"op\":\"generate_submit\",\"trace\":\"9f86d081884c7d65\","
+            "\"events\":\"all\",\"instructions\":2000,\"size\":4,"
+            "\"candidates\":8,\"seed\":7,\"client\":\"bob\",\"name\":\"up\","
+            "\"csv\":\"workload,c\\na,1\\n\",\"series_csv\":\"x\"}\n");
+
+  JobRequest targeted;
+  targeted.id = "st";
+  targeted.op = JobOp::Status;
+  targeted.job = "0123456789abcdef";
+  EXPECT_EQ(serialize_job_request(targeted),
+            "{\"op\":\"job_status\",\"id\":\"st\","
+            "\"job\":\"0123456789abcdef\"}\n");
+  targeted.op = JobOp::Watch;
+  targeted.from = 3;
+  EXPECT_EQ(serialize_job_request(targeted),
+            "{\"op\":\"job_watch\",\"id\":\"st\","
+            "\"job\":\"0123456789abcdef\",\"from\":3}\n");
+  targeted.op = JobOp::Cancel;
+  targeted.trace_id = 1;
+  EXPECT_EQ(serialize_job_request(targeted),
+            "{\"op\":\"job_cancel\",\"id\":\"st\","
+            "\"trace\":\"0000000000000001\",\"job\":\"0123456789abcdef\"}\n");
+  JobRequest list;
+  list.op = JobOp::List;
+  EXPECT_EQ(serialize_job_request(list), "{\"op\":\"job_list\"}\n");
+  list.id = "l";
+  EXPECT_EQ(serialize_job_request(list), "{\"op\":\"job_list\",\"id\":\"l\"}\n");
+}
+
+TEST(ServeWirePins, BadRequestMessages) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"not json", "json: bad number at byte 0"},
+      {"[1,2]", "request must be a JSON object"},
+      {R"({"op":5})", "'op' must be a string"},
+      {R"({"op":"dance"})", "unknown op 'dance'"},
+      // score
+      {R"({"suite":"nbench","instructions":-5})",
+       "field 'instructions' must be a non-negative integer"},
+      {R"({"suite":"nbench","instructions":1.5})",
+       "field 'instructions' must be a non-negative integer"},
+      {R"({"suite":"nbench","instructions":0})",
+       "field 'instructions' must be >= 1"},
+      {R"({"suite":"nbench","deadline_ms":"5"})",
+       "field 'deadline_ms' must be a non-negative integer"},
+      {R"({"suite":"nbench","events":1})", "'events' must be a string"},
+      {R"({"suite":"nbench","trace":"xyz"})", "'trace' must be 16 hex digits"},
+      {R"({"suite":"nbench","trace":12})", "'trace' must be 16 hex digits"},
+      {R"({"suite":"nbench","key":"0123"})", "'key' must be 32 hex digits"},
+      {R"({"op":"score"})", "exactly one of 'suite' or 'csv' is required"},
+      {R"({"suite":"nbench","csv":"w"})",
+       "exactly one of 'suite' or 'csv' is required"},
+      {R"({"suite":""})", "'suite' must be a suite name"},
+      {R"({"suite":3})", "'suite' must be a suite name"},
+      {R"({"csv":3})", "'csv' must be CSV text"},
+      {R"({"csv":"workload,c0\na,1\n","name":3})", "'name' must be a string"},
+      {R"({"name":"n","csv":"workload,c0\na,nan\n"})",
+       "CSV line 2 (byte 12): non-finite value 'nan' is not allowed"},
+      {R"({"csv":"workload,c0\na,1\n","series_csv":3})",
+       "'series_csv' must be CSV text"},
+      // mutate
+      {R"({"op":"load_suite","suite":"s","csv":"x","deadline_ms":-1})",
+       "field 'deadline_ms' must be a non-negative integer"},
+      {R"({"op":"load_suite","suite":"s","csv":"x","events":[]})",
+       "'events' must be a string"},
+      {R"({"op":"load_suite","suite":"s","csv":"x","trace":"g"})",
+       "'trace' must be 16 hex digits"},
+      {R"({"op":"load_suite","csv":"x"})",
+       "op 'load_suite' requires 'suite' (the resident suite name)"},
+      {R"({"op":"add_workload","suite":"","csv":"x"})",
+       "op 'add_workload' requires 'suite' (the resident suite name)"},
+      {R"({"op":"load_suite","suite":"s","csv":1})", "'csv' must be CSV text"},
+      {R"({"op":"load_suite","suite":"s","csv":"x","series_csv":1})",
+       "'series_csv' must be CSV text"},
+      {R"({"op":"load_suite","suite":"s"})", "op 'load_suite' requires 'csv'"},
+      {R"({"op":"add_workload","suite":"s","csv":""})",
+       "op 'add_workload' requires 'csv'"},
+      {R"({"op":"append_samples","suite":"s"})",
+       "op 'append_samples' requires 'series_csv'"},
+      {R"({"op":"drop_workload","suite":"s"})",
+       "op 'drop_workload' requires 'workload'"},
+      {R"({"op":"drop_workload","suite":"s","workload":7})",
+       "op 'drop_workload' requires 'workload'"},
+      // jobs
+      {R"({"op":"job_list","trace":"0123"})", "'trace' must be 16 hex digits"},
+      {R"({"op":"generate_submit","suite":"n","instructions":-1})",
+       "field 'instructions' must be a non-negative integer"},
+      {R"({"op":"generate_submit","suite":"n","size":0.5})",
+       "field 'size' must be a non-negative integer"},
+      {R"({"op":"generate_submit","suite":"n","candidates":"8"})",
+       "field 'candidates' must be a non-negative integer"},
+      {R"({"op":"generate_submit","suite":"n","seed":true})",
+       "field 'seed' must be a non-negative integer"},
+      {R"({"op":"generate_submit","suite":"n","instructions":0})",
+       "field 'instructions' must be >= 1"},
+      {R"({"op":"generate_submit","suite":"n","events":{}})",
+       "'events' must be a string"},
+      {R"({"op":"generate_submit","suite":"n","client":1})",
+       "'client' must be a string"},
+      {R"({"op":"generate_submit"})",
+       "exactly one of 'suite' or 'csv' is required"},
+      {R"({"op":"generate_submit","suite":""})",
+       "'suite' must be a suite name"},
+      {R"({"op":"generate_submit","csv":null})", "'csv' must be CSV text"},
+      {R"({"op":"generate_submit","csv":"c","name":1})",
+       "'name' must be a string"},
+      {R"({"op":"generate_submit","csv":"c","series_csv":1})",
+       "'series_csv' must be CSV text"},
+      {R"({"op":"job_status"})",
+       "op 'job_status' requires 'job' (16 hex digits)"},
+      {R"({"op":"job_cancel","job":"0123456789ABCDEF"})",
+       "op 'job_cancel' requires 'job' (16 hex digits)"},
+      {R"({"op":"job_watch","job":"0123456789abcdef","from":-2})",
+       "field 'from' must be a non-negative integer"},
+  };
+  for (const auto& [line, message] : cases) {
+    const ParsedRequest parsed = parse_request_line(line);
+    EXPECT_FALSE(parsed.ok) << line;
+    EXPECT_EQ(parsed.error, "bad_request") << line;
+    EXPECT_EQ(parsed.message, message) << line;
+  }
+  // The id is echoed on every failure after the JSON itself parsed.
+  EXPECT_EQ(parse_request_line(R"({"id":"q","op":"dance"})").id, "q");
 }
 
 }  // namespace
