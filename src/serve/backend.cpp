@@ -1,5 +1,7 @@
 #include "serve/backend.hpp"
 
+#include <utility>
+
 #include "core/counter_matrix.hpp"
 
 namespace perspector::serve {
@@ -48,14 +50,21 @@ bool ScoreBackend::jobs_runnable() { return false; }
 
 void ScoreBackend::jobs_step() {}
 
-MutateResponse ScoreBackend::mutate(const MutateRequest& request) {
+MutateResponse mutate_error(const MutateRequest& request, std::string error,
+                            std::string message) {
   MutateResponse response;
   response.id = request.id;
+  response.suite = request.suite;
   response.ok = false;
-  response.error = "bad_request";
-  response.message = "this backend does not support resident-suite mutation";
+  response.error = std::move(error);
+  response.message = std::move(message);
   response.trace_id = request.trace_id;
   return response;
+}
+
+MutateResponse ScoreBackend::mutate(const MutateRequest& request) {
+  return mutate_error(request, "bad_request",
+                      "this backend does not support resident-suite mutation");
 }
 
 Key128 compute_content_key(const ScoreRequest& request, DigestCache* digests) {

@@ -128,6 +128,10 @@ struct MutateResponse {
   std::uint64_t trace_id = 0;
 };
 
+/// The structured error answer to a mutation (id, suite and trace echoed).
+MutateResponse mutate_error(const MutateRequest& request, std::string error,
+                            std::string message);
+
 // ---- async subset-search jobs ---------------------------------------------
 
 /// The five job ops of the NDJSON protocol (DESIGN.md section 15).

@@ -23,57 +23,6 @@ namespace {
   throw std::runtime_error("client: " + what + ": " + errno_message(errno));
 }
 
-std::string score_line(const ClientScore& score, std::uint64_t id) {
-  std::string line = "{\"id\":\"" + std::to_string(id) + "\",\"op\":\"score\"";
-  if (!score.builtin.empty()) {
-    line += ",\"suite\":";
-    json::append_quoted(line, score.builtin);
-    line += ",\"instructions\":" + std::to_string(score.instructions);
-  } else {
-    line += ",\"name\":";
-    json::append_quoted(line, score.name);
-    line += ",\"csv\":";
-    json::append_quoted(line, score.csv_text);
-    if (score.series_text) {
-      line += ",\"series_csv\":";
-      json::append_quoted(line, *score.series_text);
-    }
-  }
-  line += ",\"events\":";
-  json::append_quoted(line, score.events);
-  if (score.deadline_ms > 0) {
-    line += ",\"deadline_ms\":" + std::to_string(score.deadline_ms);
-  }
-  line += "}\n";
-  return line;
-}
-
-std::string mutate_line(const ClientMutate& mutate, std::uint64_t id) {
-  std::string line = "{\"id\":\"m" + std::to_string(id) + "\",\"op\":";
-  json::append_quoted(line, mutate.op);
-  line += ",\"suite\":";
-  json::append_quoted(line, mutate.suite);
-  if (!mutate.workload.empty()) {
-    line += ",\"workload\":";
-    json::append_quoted(line, mutate.workload);
-  }
-  if (!mutate.csv_text.empty()) {
-    line += ",\"csv\":";
-    json::append_quoted(line, mutate.csv_text);
-  }
-  if (mutate.series_text) {
-    line += ",\"series_csv\":";
-    json::append_quoted(line, *mutate.series_text);
-  }
-  line += ",\"events\":";
-  json::append_quoted(line, mutate.events);
-  if (mutate.deadline_ms > 0) {
-    line += ",\"deadline_ms\":" + std::to_string(mutate.deadline_ms);
-  }
-  line += "}\n";
-  return line;
-}
-
 int connect_to(const std::string& host, std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) fail("socket");
@@ -168,9 +117,10 @@ bool report_response(const std::string& line, std::ostream& out,
     // Mutate responses additionally carry the suite name and version.
     const json::Value* suite = response.find("suite");
     const json::Value* version = response.find("version");
-    if (suite && suite->is_string() && version && version->is_number()) {
-      err << ", suite " << suite->string << " v"
-          << static_cast<std::uint64_t>(version->number);
+    std::uint64_t number = 0;
+    if (suite && suite->is_string() && version &&
+        json::get(*version, number)) {
+      err << ", suite " << suite->string << " v" << number;
     }
     if (trace && trace->is_string()) err << ", trace " << trace->string;
     err << ")\n";
@@ -180,9 +130,9 @@ bool report_response(const std::string& line, std::ostream& out,
   if (const json::Value* counters = response.find("counters")) {
     err << "response " << label << ": metrics\n";
     for (const auto& [name, value] : counters->members) {
-      out << name << " "
-          << static_cast<std::uint64_t>(value.is_number() ? value.number : 0)
-          << "\n";
+      std::uint64_t count = 0;
+      json::get(value, count);
+      out << name << " " << count << "\n";
     }
     if (const json::Value* distributions = response.find("distributions")) {
       print_stat_object(out, *distributions);
@@ -204,14 +154,17 @@ bool report_response(const std::string& line, std::ostream& out,
     err << "response " << label << ": shard_stats\n";
     for (const json::Value& row : workers->elements) {
       const json::Value* index = row.find("worker");
-      if (!index || !index->is_number()) continue;
-      const auto prefix =
-          "worker." + std::to_string(static_cast<std::uint64_t>(index->number));
+      std::uint64_t worker = 0;
+      if (!index || !json::get(*index, worker)) continue;
+      const auto prefix = "worker." + std::to_string(worker);
       for (const auto& [field, value] : row.members) {
         if (field == "worker") continue;
         if (value.is_number()) {
-          out << prefix << '.' << field << ' '
-              << static_cast<std::int64_t>(value.number) << '\n';
+          // %.0f: an integer prints as itself (pid -1 included) with no
+          // cast that a huge value could overflow.
+          char buf[400];
+          std::snprintf(buf, sizeof buf, "%.0f", value.number);
+          out << prefix << '.' << field << ' ' << buf << '\n';
         } else if (value.type == json::Value::Type::Bool) {
           out << prefix << '.' << field << ' ' << (value.boolean ? 1 : 0)
               << '\n';
@@ -361,18 +314,7 @@ int run_job_client(const ClientRun& run, const ClientJob& job,
       JobRequest request;
       request.id = "submit";
       request.op = JobOp::Submit;
-      request.spec.builtin = job.suite;
-      request.spec.instructions = job.instructions;
-      if (job.suite.empty()) {
-        request.spec.csv_name = job.name;
-        request.spec.csv_text = job.csv_text;
-        if (job.series_text) request.spec.series_text = *job.series_text;
-      }
-      request.spec.events = job.events;
-      request.spec.target_size = job.size;
-      request.spec.candidates = job.candidates;
-      request.spec.seed = job.seed;
-      request.spec.client = job.client;
+      request.spec = job.spec;
       JobResponse response;
       if (!job_exchange(fd, rx, request, response, err)) {
         rc = 3;
@@ -394,53 +336,33 @@ int run_job_client(const ClientRun& run, const ClientJob& job,
       }
     } else if (!job.watch.empty()) {
       rc = watch_job(fd, rx, job.watch, job.watch_interval_ms, out, err);
-    } else if (!job.status.empty()) {
+    } else if (!job.status.empty() || !job.cancel.empty() || job.list) {
       JobRequest request;
-      request.id = "status";
-      request.op = JobOp::Status;
-      request.job = job.status;
+      request.op = !job.status.empty()   ? JobOp::Status
+                   : !job.cancel.empty() ? JobOp::Cancel
+                                         : JobOp::List;
+      request.id = request.op == JobOp::Status   ? "status"
+                   : request.op == JobOp::Cancel ? "cancel"
+                                                 : "list";
+      request.job = request.op == JobOp::Status ? job.status : job.cancel;
       JobResponse response;
       if (!job_exchange(fd, rx, request, response, err) || !response.ok) {
         if (!response.error.empty()) {
-          err << "status " << job.status << ": error " << response.error
-              << ": " << response.message << "\n";
-        }
-        rc = 3;
-      } else {
-        print_status_line(out, response.status, response.worker);
-      }
-    } else if (!job.cancel.empty()) {
-      JobRequest request;
-      request.id = "cancel";
-      request.op = JobOp::Cancel;
-      request.job = job.cancel;
-      JobResponse response;
-      if (!job_exchange(fd, rx, request, response, err) || !response.ok) {
-        if (!response.error.empty()) {
-          err << "cancel " << job.cancel << ": error " << response.error
-              << ": " << response.message << "\n";
-        }
-        rc = 3;
-      } else {
-        err << "cancel requested for job " << response.status.id << "\n";
-        print_status_line(out, response.status, response.worker);
-      }
-    } else if (job.list) {
-      JobRequest request;
-      request.id = "list";
-      request.op = JobOp::List;
-      JobResponse response;
-      if (!job_exchange(fd, rx, request, response, err) || !response.ok) {
-        if (!response.error.empty()) {
-          err << "list: error " << response.error << ": " << response.message
+          err << request.id << (request.job.empty() ? "" : " ") << request.job
+              << ": error " << response.error << ": " << response.message
               << "\n";
         }
         rc = 3;
-      } else {
+      } else if (request.op == JobOp::List) {
         for (const auto& status : response.jobs) {
           print_status_line(out, status, -1);
         }
         err << "listed " << response.jobs.size() << " jobs\n";
+      } else {
+        if (request.op == JobOp::Cancel) {
+          err << "cancel requested for job " << response.status.id << "\n";
+        }
+        print_status_line(out, response.status, response.worker);
       }
     } else {
       err << "client: job mode needs one of submit/watch/status/cancel/list\n";
@@ -470,12 +392,16 @@ int run_client(const ClientRun& run, std::ostream& out, std::ostream& err) {
     ++expected;
   }
   for (std::size_t i = 0; i < run.mutations.size(); ++i) {
-    request_bytes += mutate_line(run.mutations[i], i);
+    MutateRequest mutate = run.mutations[i];
+    mutate.id = std::string("m").append(std::to_string(i));
+    request_bytes += serialize_mutate_request(mutate);
     ++expected;
   }
   if (run.score) {
+    ScoreRequest score = *run.score;
     for (std::uint64_t i = 0; i < run.repeat; ++i) {
-      request_bytes += score_line(*run.score, i);
+      score.id = std::to_string(i);
+      request_bytes += serialize_score_request(score);
       ++expected;
     }
   }

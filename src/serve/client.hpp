@@ -25,31 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "serve/backend.hpp"
+
 namespace perspector::serve {
-
-/// The score request a client run repeats. Exactly one of `builtin` /
-/// `csv_text` is used: a non-empty `builtin` wins.
-struct ClientScore {
-  std::string builtin;                    // built-in suite name, or empty
-  std::uint64_t instructions = 500'000;   // built-in path only
-  std::string name = "inline";            // suite label for CSV data
-  std::string csv_text;                   // aggregate CSV payload
-  std::optional<std::string> series_text; // optional series CSV payload
-  std::string events = "all";
-  std::uint64_t deadline_ms = 0;          // 0 = server default
-};
-
-/// One live-suite mutation to pipeline before the score requests (see
-/// the mutate ops in protocol.hpp). `op` is the wire op name.
-struct ClientMutate {
-  std::string op;        // load_suite|add_workload|drop_workload|append_samples
-  std::string suite;     // resident suite name
-  std::string workload;  // drop_workload only
-  std::string csv_text;  // load_suite / add_workload payload
-  std::optional<std::string> series_text;
-  std::string events = "all";
-  std::uint64_t deadline_ms = 0;  // 0 = server default
-};
 
 /// One async-job interaction (DESIGN.md section 15). Unlike the
 /// pipelined score path, job mode keeps the connection open and speaks
@@ -64,17 +42,7 @@ struct ClientMutate {
 /// — the same two lines `perspector subset --search scored` prints, so
 /// scripts can diff the served search against the one-shot reference.
 struct ClientJob {
-  // generate_submit payload (exactly one of suite / csv_text):
-  std::string suite;                       // built-in suite name
-  std::uint64_t instructions = 500'000;    // built-in path only
-  std::string name = "uploaded";           // suite label for CSV data
-  std::string csv_text;                    // aggregate CSV payload
-  std::optional<std::string> series_text;  // optional series CSV payload
-  std::string events = "all";
-  std::uint64_t size = 8;        // subset target size
-  std::uint64_t candidates = 64; // LHS candidates to evaluate
-  std::uint64_t seed = 1234;
-  std::string client;            // fair-share admission bucket
+  jobs::JobSpec spec;            // generate_submit payload
   bool submit = false;           // send generate_submit
   bool follow = false;           // after submit: watch to completion
   std::string watch;             // job id to watch (no submit)
@@ -87,8 +55,11 @@ struct ClientJob {
 struct ClientRun {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  std::vector<ClientMutate> mutations;  // sent (in order) before scores
-  std::optional<ClientScore> score;
+  /// Live-suite mutations (see the mutate ops in protocol.hpp), sent in
+  /// order before the score requests with ids "m0", "m1", ...
+  std::vector<MutateRequest> mutations;
+  /// The score request, sent `repeat` times with ids "0", "1", ...
+  std::optional<ScoreRequest> score;
   std::optional<ClientJob> job;  // job mode; takes precedence over score
   std::uint64_t repeat = 1;  // pipelined copies of `score`
   bool ping = false;         // prepend a ping

@@ -104,18 +104,6 @@ ScoreResponse error_response(const std::string& id, std::string error,
   return response;
 }
 
-MutateResponse mutate_error(const MutateRequest& request, std::string error,
-                            std::string message) {
-  MutateResponse response;
-  response.id = request.id;
-  response.suite = request.suite;
-  response.ok = false;
-  response.error = std::move(error);
-  response.message = std::move(message);
-  response.trace_id = request.trace_id;
-  return response;
-}
-
 }  // namespace
 
 bool is_builtin_suite(const std::string& name) {
@@ -165,8 +153,11 @@ JobResponse Engine::job(const JobRequest& request) {
       }
       return response;
     }
-    case JobOp::Status: {
-      const auto status = jobs_->status(request.job);
+    case JobOp::Status:
+    case JobOp::Cancel: {
+      const auto status = request.op == JobOp::Status
+                              ? jobs_->status(request.job)
+                              : jobs_->cancel(request.job);
       if (!status) {
         response.error = "bad_request";
         response.message = "unknown job '" + request.job + "'";
@@ -188,17 +179,6 @@ JobResponse Engine::job(const JobRequest& request) {
       response.status = watched->status;
       response.progress = watched->progress;
       response.next = watched->next;
-      return response;
-    }
-    case JobOp::Cancel: {
-      const auto status = jobs_->cancel(request.job);
-      if (!status) {
-        response.error = "bad_request";
-        response.message = "unknown job '" + request.job + "'";
-        return response;
-      }
-      response.ok = true;
-      response.status = *status;
       return response;
     }
     case JobOp::List:

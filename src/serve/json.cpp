@@ -1,6 +1,7 @@
 #include "serve/json.hpp"
 
 #include <charconv>
+#include <cinttypes>
 #include <cstdio>
 #include <stdexcept>
 
@@ -273,6 +274,89 @@ std::string quoted(std::string_view text) {
   out.reserve(text.size() + 2);
   append_quoted(out, text);
   return out;
+}
+
+bool parse_hex64(std::string_view text, std::uint64_t& out) {
+  if (text.size() != 16) return false;
+  std::uint64_t value = 0;
+  for (char ch : text) {
+    value <<= 4;
+    if (ch >= '0' && ch <= '9') {
+      value |= static_cast<std::uint64_t>(ch - '0');
+    } else if (ch >= 'a' && ch <= 'f') {
+      value |= static_cast<std::uint64_t>(ch - 'a' + 10);
+    } else if (ch >= 'A' && ch <= 'F') {
+      value |= static_cast<std::uint64_t>(ch - 'A' + 10);
+    } else {
+      return false;
+    }
+  }
+  out = value;
+  return true;
+}
+
+// ---- Writer and Reader -----------------------------------------------------
+
+void Writer::scalar(std::uint64_t v) {
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void Writer::scalar(std::int64_t v) {
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void Writer::scalar(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  out_ += buf;
+}
+
+Writer& Writer::hex64(std::string_view k, std::uint64_t v) {
+  key(k);
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "\"%016" PRIx64 "\"", v);
+  out_ += buf;
+  return *this;
+}
+
+bool get(const Value& value, std::string& out) {
+  if (!value.is_string()) return false;
+  out = value.string;
+  return true;
+}
+
+bool get(const Value& value, double& out) {
+  if (!value.is_number()) return false;
+  out = value.number;
+  return true;
+}
+
+bool get(const Value& value, bool& out) {
+  if (value.type != Value::Type::Bool) return false;
+  out = value.boolean;
+  return true;
+}
+
+bool Reader::hex64(std::string_view key, std::uint64_t& out) {
+  if (!ok()) return false;
+  const Value* value = find(key);
+  if (!value || (value->is_string() && parse_hex64(value->string, out))) {
+    return true;
+  }
+  return mismatch(key, "16 hex digits");
+}
+
+const std::vector<Value>* Reader::array(std::string_view key, bool required) {
+  if (!ok()) return nullptr;
+  const Value* value = find(key);
+  if (!value && !required) return nullptr;
+  if (!value || value->type != Value::Type::Array) {
+    mismatch(key, "a list");
+    return nullptr;
+  }
+  return &value->elements;
 }
 
 }  // namespace perspector::serve::json

@@ -3,6 +3,9 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
+#include <string_view>
+#include <utility>
 
 #include "core/io.hpp"
 #include "obs/histogram.hpp"
@@ -12,6 +15,8 @@
 namespace perspector::serve {
 
 namespace {
+
+constexpr std::string_view kWorkerHello = "perspector-worker/1";
 
 /// Extracts an echoable id: strings verbatim, numbers via their JSON
 /// text (integers render without a trailing ".0").
@@ -42,66 +47,12 @@ ParsedRequest bad_request(std::string id, std::string message) {
   return parsed;
 }
 
-bool read_u64(const json::Value& object, const char* key,
-              std::uint64_t& out, std::string& problem) {
-  const json::Value* value = object.find(key);
-  if (!value) return true;
-  if (!value->is_number() || value->number < 0 ||
-      value->number != std::floor(value->number)) {
-    problem = std::string("field '") + key +
-              "' must be a non-negative integer";
+bool parse_line(const std::string& line, json::Value& out) {
+  try {
+    out = json::parse(line);
+  } catch (const std::exception&) {
     return false;
   }
-  out = static_cast<std::uint64_t>(value->number);
-  return true;
-}
-
-void append_id(std::string& out, const std::string& id) {
-  if (id.empty()) return;
-  out += "\"id\":";
-  json::append_quoted(out, id);
-  out += ',';
-}
-
-// %.17g: enough digits that parsing the text recovers the exact double,
-// so metrics snapshots survive a JSON round trip bit-for-bit.
-void append_double(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-  out += buf;
-}
-
-void append_trace(std::string& out, std::uint64_t trace_id) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, trace_id);
-  out += "\"trace\":\"";
-  out += buf;
-  out += '"';
-}
-
-/// Exactly 16 lowercase/uppercase hex digits -> u64.
-bool parse_hex_u64(const std::string& text, std::uint64_t& out) {
-  if (text.size() != 16) return false;
-  std::uint64_t value = 0;
-  for (char ch : text) {
-    value <<= 4;
-    if (ch >= '0' && ch <= '9') {
-      value |= static_cast<std::uint64_t>(ch - '0');
-    } else if (ch >= 'a' && ch <= 'f') {
-      value |= static_cast<std::uint64_t>(ch - 'a' + 10);
-    } else if (ch >= 'A' && ch <= 'F') {
-      value |= static_cast<std::uint64_t>(ch - 'A' + 10);
-    } else {
-      return false;
-    }
-  }
-  out = value;
   return true;
 }
 
@@ -116,165 +67,313 @@ bool valid_job_id(const std::string& id) {
   return true;
 }
 
-void append_best(std::string& out, const jobs::BestCandidate& best) {
-  out += "\"best\":{\"candidate\":";
-  append_u64(out, best.candidate);
-  out += ",\"deviation_pct\":";
-  append_double(out, best.deviation_pct);
-  out += ",\"per_score_deviation_pct\":[";
-  bool first = true;
-  for (double value : best.per_score_deviation_pct) {
-    if (!first) out += ',';
-    first = false;
-    append_double(out, value);
+/// The one of `values` whose wire name is `text`.
+template <typename Enum, typename NameOf>
+bool enum_of(const std::string& text, std::initializer_list<Enum> values,
+             NameOf name_of, Enum& out) {
+  for (Enum value : values) {
+    if (text == name_of(value)) {
+      out = value;
+      return true;
+    }
   }
-  out += "],\"indices\":[";
-  first = true;
-  for (std::uint64_t index : best.indices) {
-    if (!first) out += ',';
-    first = false;
-    append_u64(out, index);
-  }
-  out += "],\"subset\":[";
-  first = true;
-  for (const std::string& name : best.names) {
-    if (!first) out += ',';
-    first = false;
-    json::append_quoted(out, name);
-  }
-  out += "]}";
+  return false;
 }
 
-void append_job_status(std::string& out, const jobs::JobStatus& status) {
-  out += "\"job\":";
-  json::append_quoted(out, status.id);
-  out += ",\"state\":\"";
-  out += jobs::to_string(status.state);
-  out += "\",\"client\":";
-  json::append_quoted(out, status.client);
-  out += ",\"evaluated\":";
-  append_u64(out, status.evaluated);
-  out += ",\"total\":";
-  append_u64(out, status.total);
-  out += ",\"resumed\":";
-  out += status.resumed ? "true" : "false";
-  if (status.best.valid) {
-    out += ',';
-    append_best(out, status.best);
-  }
-  if (!status.error.empty()) {
-    out += ",\"detail\":";
-    json::append_quoted(out, status.error);
-  }
+// ---- shared sub-codecs -----------------------------------------------------
+
+void write_trace(json::Writer& w, std::uint64_t trace_id) {
+  if (trace_id != 0) w.hex64("trace", trace_id);
 }
 
-bool parse_best_object(const json::Value& value, jobs::BestCandidate& best) {
-  if (!value.is_object()) return false;
-  const json::Value* candidate = value.find("candidate");
-  const json::Value* deviation = value.find("deviation_pct");
-  const json::Value* per_score = value.find("per_score_deviation_pct");
-  const json::Value* indices = value.find("indices");
-  const json::Value* subset = value.find("subset");
-  if (!candidate || !candidate->is_number() || !deviation ||
-      !deviation->is_number() || !per_score ||
-      per_score->type != json::Value::Type::Array || !indices ||
-      indices->type != json::Value::Type::Array || !subset ||
-      subset->type != json::Value::Type::Array) {
-    return false;
-  }
-  best.valid = true;
-  best.candidate = static_cast<std::uint64_t>(candidate->number);
-  best.deviation_pct = deviation->number;
-  for (const json::Value& element : per_score->elements) {
-    if (!element.is_number()) return false;
-    best.per_score_deviation_pct.push_back(element.number);
-  }
-  for (const json::Value& element : indices->elements) {
-    if (!element.is_number()) return false;
-    best.indices.push_back(static_cast<std::uint64_t>(element.number));
-  }
-  for (const json::Value& element : subset->elements) {
-    if (!element.is_string()) return false;
-    best.names.push_back(element.string);
-  }
-  return true;
+/// Every request opens with its op, then the id and the router's trace id
+/// when they are set.
+json::Writer open_request(std::string& out, std::string_view op,
+                          const std::string& id, std::uint64_t trace_id) {
+  json::Writer w(out);
+  w.str("op", op);
+  if (!id.empty()) w.str("id", id);
+  write_trace(w, trace_id);
+  return w;
 }
 
-bool parse_job_state(const std::string& text, jobs::JobState& out) {
-  if (text == "queued") {
-    out = jobs::JobState::Queued;
-  } else if (text == "running") {
-    out = jobs::JobState::Running;
-  } else if (text == "done") {
-    out = jobs::JobState::Done;
-  } else if (text == "cancelled") {
-    out = jobs::JobState::Cancelled;
-  } else if (text == "failed") {
-    out = jobs::JobState::Failed;
+/// Every response opens with the id (when set) and "ok".
+json::Writer open_response(std::string& out, const std::string& id,
+                           bool ok) {
+  json::Writer w(out);
+  if (!id.empty()) w.str("id", id);
+  w.boolean("ok", ok);
+  return w;
+}
+
+/// The one error response shape, shared by every op.
+std::string error_line(const std::string& id, const std::string& error,
+                       const std::string& message, std::uint64_t trace_id) {
+  std::string out;
+  json::Writer w = open_response(out, id, false);
+  w.str("error", error).str("message", message);
+  write_trace(w, trace_id);
+  w.finish();
+  return out;
+}
+
+template <typename Response>
+std::string error_line(const Response& response) {
+  return error_line(response.id, response.error, response.message,
+                    response.trace_id);
+}
+
+/// Reads one response line: the shared head (ok, id, trace, and error +
+/// message on an error response), then `body` for the fields of an ok
+/// response. False on malformed input.
+template <typename Response, typename Body>
+bool parse_response(const std::string& line, Response& out, Body body) {
+  json::Value response;
+  if (!parse_line(line, response)) return false;
+  out = Response{};
+  out.id = id_of(response);
+  json::Reader in(response);
+  in.need("ok", out.ok);
+  in.hex64("trace", out.trace_id);
+  if (out.ok) {
+    body(in);
   } else {
-    return false;
+    in.need("error", out.error);
+    in.need("message", out.message);
+  }
+  return in.ok();
+}
+
+/// The tail of an ok score or mutate response.
+void write_scored(json::Writer& w, bool cache_hit, std::uint64_t trace_id,
+                  const std::string& report) {
+  w.str("cache", cache_hit ? "hit" : "miss");
+  write_trace(w, trace_id);
+  w.str("report", report);
+}
+
+void read_scored(json::Reader& in, bool& cache_hit, std::string& report) {
+  std::string cache;
+  in.need("cache", cache);
+  in.need("report", report);
+  cache_hit = cache == "hit";
+}
+
+/// What a score request or job submission scores: a built-in suite
+/// ("suite"), or uploaded CSV ("name", "csv", optional "series_csv").
+void write_source(json::Writer& w, std::string_view builtin,
+                  std::string_view name, std::string_view csv,
+                  std::string_view series) {
+  if (!builtin.empty()) {
+    w.str("suite", builtin);
+    return;
+  }
+  w.str("name", name).str("csv", csv);
+  if (!series.empty()) w.str("series_csv", series);
+}
+
+/// ScoreRequest and jobs::JobSpec name their source fields alike. The CSV
+/// payload is kept raw: the content key digests these exact bytes, and
+/// the router forwards them verbatim to its workers.
+template <typename Source>
+void read_source(json::Reader& in, Source& source,
+                 const char* default_name) {
+  const json::Value* suite = in.find("suite");
+  if ((suite != nullptr) == (in.find("csv") != nullptr)) {
+    in.fail("exactly one of 'suite' or 'csv' is required");
+  } else if (suite) {
+    if (!in.nonempty("suite", source.builtin)) {
+      in.fail("'suite' must be a suite name");
+    }
+  } else {
+    source.csv_name = default_name;
+    in.get("csv", source.csv_text, "CSV text");
+    in.get("name", source.csv_name);
+    in.get("series_csv", source.series_text, "CSV text");
+  }
+}
+
+void write_best(json::Writer& w, const jobs::BestCandidate& best) {
+  if (!best.valid) return;
+  w.object("best")
+      .u64("candidate", best.candidate)
+      .f64("deviation_pct", best.deviation_pct)
+      .list("per_score_deviation_pct", best.per_score_deviation_pct)
+      .list("indices", best.indices)
+      .list("subset", best.names)
+      .end_object();
+}
+
+/// Reads the optional "best" member of `parent`.
+bool read_best(json::Reader& parent, jobs::BestCandidate& best) {
+  const json::Value* value = parent.find("best");
+  if (!value || !parent.ok()) return parent.ok();
+  json::Reader in(*value);
+  in.need("candidate", best.candidate);
+  in.need("deviation_pct", best.deviation_pct);
+  in.list("per_score_deviation_pct", best.per_score_deviation_pct);
+  in.list("indices", best.indices);
+  in.list("subset", best.names);
+  best.valid = true;
+  return in.ok() || parent.fail(in.problem());
+}
+
+void write_status(json::Writer& w, const jobs::JobStatus& status) {
+  w.str("job", status.id)
+      .str("state", jobs::to_string(status.state))
+      .str("client", status.client)
+      .u64("evaluated", status.evaluated)
+      .u64("total", status.total)
+      .boolean("resumed", status.resumed);
+  write_best(w, status.best);
+  if (!status.error.empty()) w.str("detail", status.error);
+}
+
+bool read_status(json::Reader& in, jobs::JobStatus& status) {
+  std::string state;
+  in.need("job", status.id);
+  in.need("state", state);
+  in.need("evaluated", status.evaluated);
+  in.need("total", status.total);
+  in.get("client", status.client);
+  in.get("resumed", status.resumed);
+  read_best(in, status.best);
+  in.get("detail", status.error);
+  if (in.ok() && !enum_of(state,
+                          {jobs::JobState::Queued, jobs::JobState::Running,
+                           jobs::JobState::Done, jobs::JobState::Cancelled,
+                           jobs::JobState::Failed},
+                          jobs::to_string, status.state)) {
+    in.fail("'state' must be a job state");
+  }
+  return in.ok();
+}
+
+void write_progress(json::Writer& w,
+                    const std::vector<jobs::JobProgress>& progress) {
+  w.array("progress");
+  for (const jobs::JobProgress& record : progress) {
+    w.object()
+        .u64("seq", record.seq)
+        .u64("evaluated", record.evaluated)
+        .u64("total", record.total);
+    write_best(w, record.best);
+    w.end_object();
+  }
+  w.end_array();
+}
+
+bool read_progress(json::Reader& in,
+                   std::vector<jobs::JobProgress>& progress) {
+  const std::vector<json::Value>* records = in.array("progress", true);
+  if (!records) return false;
+  for (const json::Value& element : *records) {
+    json::Reader record(element);
+    jobs::JobProgress& out = progress.emplace_back();
+    record.need("seq", out.seq);
+    record.need("evaluated", out.evaluated);
+    record.need("total", out.total);
+    read_best(record, out.best);
+    if (!record.ok()) return in.fail(record.problem());
   }
   return true;
 }
 
-bool parse_status_fields(const json::Value& object, jobs::JobStatus& status) {
-  const json::Value* job = object.find("job");
-  const json::Value* state = object.find("state");
-  const json::Value* evaluated = object.find("evaluated");
-  const json::Value* total = object.find("total");
-  if (!job || !job->is_string() || !state || !state->is_string() ||
-      !evaluated || !evaluated->is_number() || !total ||
-      !total->is_number()) {
-    return false;
-  }
-  status.id = job->string;
-  if (!parse_job_state(state->string, status.state)) return false;
-  status.evaluated = static_cast<std::uint64_t>(evaluated->number);
-  status.total = static_cast<std::uint64_t>(total->number);
-  if (const json::Value* client = object.find("client")) {
-    if (!client->is_string()) return false;
-    status.client = client->string;
-  }
-  if (const json::Value* resumed = object.find("resumed")) {
-    if (resumed->type != json::Value::Type::Bool) return false;
-    status.resumed = resumed->boolean;
-  }
-  if (const json::Value* best = object.find("best")) {
-    if (!parse_best_object(*best, status.best)) return false;
-  }
-  if (const json::Value* detail = object.find("detail")) {
-    if (!detail->is_string()) return false;
-    status.error = detail->string;
-  }
-  return true;
-}
-
-void append_histograms(std::string& out) {
-  out += "\"histograms\":{";
-  bool first = true;
+void write_histograms(json::Writer& w) {
+  w.object("histograms");
   for (const auto& snapshot : obs::histograms_snapshot()) {
-    if (!first) out += ',';
-    first = false;
-    json::append_quoted(out, snapshot.name);
-    out += ":{\"count\":";
-    append_u64(out, snapshot.stats.count);
-    out += ",\"min\":";
-    append_double(out, snapshot.stats.min);
-    out += ",\"max\":";
-    append_double(out, snapshot.stats.max);
-    out += ",\"mean\":";
-    append_double(out, snapshot.stats.mean());
-    out += ",\"p50\":";
-    append_double(out, snapshot.stats.p50);
-    out += ",\"p90\":";
-    append_double(out, snapshot.stats.p90);
-    out += ",\"p99\":";
-    append_double(out, snapshot.stats.p99);
-    out += ",\"p999\":";
-    append_double(out, snapshot.stats.p999);
-    out += '}';
+    const obs::HistogramStats& stats = snapshot.stats;
+    w.object(snapshot.name)
+        .u64("count", stats.count)
+        .f64("min", stats.min)
+        .f64("max", stats.max)
+        .f64("mean", stats.mean())
+        .f64("p50", stats.p50)
+        .f64("p90", stats.p90)
+        .f64("p99", stats.p99)
+        .f64("p999", stats.p999)
+        .end_object();
   }
-  out += '}';
+  w.end_object();
+}
+
+// ---- request readers -------------------------------------------------------
+
+void read_score(json::Reader& in, ScoreRequest& score) {
+  in.get("instructions", score.instructions);
+  in.get("deadline_ms", score.deadline_ms);
+  if (score.instructions == 0) in.fail("field 'instructions' must be >= 1");
+  in.get("events", score.events);
+  // Router-forwarded requests carry the router's trace id and content
+  // key; the worker session reuses both instead of deriving its own.
+  in.hex64("trace", score.trace_id);
+  if (const json::Value* key = in.find("key")) {
+    const std::string_view text = key->string;
+    if (!key->is_string() || text.size() != 32 ||
+        !json::parse_hex64(text.substr(0, 16), score.content_key.hi) ||
+        !json::parse_hex64(text.substr(16), score.content_key.lo)) {
+      in.fail("'key' must be 32 hex digits");
+    }
+  }
+  read_source(in, score, "inline");
+  if (!in.ok() || !score.builtin.empty()) return;
+  try {
+    score.data = std::make_shared<const core::CounterMatrix>(
+        in.find("series_csv")
+            ? core::read_with_series_csv_text(score.csv_name, score.csv_text,
+                                              score.series_text)
+            : core::read_aggregates_csv_text(score.csv_name,
+                                             score.csv_text));
+  } catch (const std::exception& e) {
+    in.fail(e.what());
+  }
+}
+
+void read_mutate(json::Reader& in, const std::string& op,
+                 MutateRequest& mutate) {
+  in.get("deadline_ms", mutate.deadline_ms);
+  in.get("events", mutate.events);
+  in.hex64("trace", mutate.trace_id);
+  if (!in.nonempty("suite", mutate.suite)) {
+    in.fail("op '" + op + "' requires 'suite' (the resident suite name)");
+  }
+  // Payload CSV is retained raw and parsed engine-side, where the
+  // resident base suite is available for column rearrangement and
+  // delta validation.
+  in.get("csv", mutate.csv_text, "CSV text");
+  in.get("series_csv", mutate.series_text, "CSV text");
+  const bool needs_csv = mutate.op == MutateOp::LoadSuite ||
+                         mutate.op == MutateOp::AddWorkload;
+  if (needs_csv && mutate.csv_text.empty()) {
+    in.fail("op '" + op + "' requires 'csv'");
+  }
+  if (mutate.op == MutateOp::AppendSamples && mutate.series_text.empty()) {
+    in.fail("op '" + op + "' requires 'series_csv'");
+  }
+  if (mutate.op == MutateOp::DropWorkload &&
+      !in.nonempty("workload", mutate.workload)) {
+    in.fail("op '" + op + "' requires 'workload'");
+  }
+}
+
+void read_job(json::Reader& in, const std::string& op, JobRequest& job) {
+  in.hex64("trace", job.trace_id);
+  if (job.op == JobOp::Submit) {
+    jobs::JobSpec& spec = job.spec;
+    in.get("instructions", spec.instructions);
+    in.get("size", spec.target_size);
+    in.get("candidates", spec.candidates);
+    in.get("seed", spec.seed);
+    if (spec.instructions == 0) in.fail("field 'instructions' must be >= 1");
+    in.get("events", spec.events);
+    in.get("client", spec.client);
+    read_source(in, spec, "uploaded");
+  } else if (job.op != JobOp::List) {
+    if (!in.nonempty("job", job.job) || !valid_job_id(job.job)) {
+      in.fail("op '" + op + "' requires 'job' (16 hex digits)");
+    }
+    if (job.op == JobOp::Watch) in.get("from", job.from);
+  }
 }
 
 }  // namespace
@@ -292,784 +391,259 @@ ParsedRequest parse_request_line(const std::string& line) {
 
   ParsedRequest parsed;
   parsed.id = id_of(request);
-
+  json::Reader in(request);
   std::string op = "score";
-  if (const json::Value* value = request.find("op")) {
-    if (!value->is_string()) return bad_request(parsed.id, "'op' must be a string");
-    op = value->string;
+  if (!in.get("op", op)) return bad_request(parsed.id, in.problem());
+  static constexpr std::pair<std::string_view, Op> kControlOps[] = {
+      {"ping", Op::Ping},
+      {"metrics", Op::Metrics},
+      {"stats", Op::Stats},
+      {"shard_stats", Op::ShardStats},
+      {"shutdown", Op::Shutdown}};
+  for (const auto& [name, control] : kControlOps) {
+    if (op == name) {
+      parsed.ok = true;
+      parsed.op = control;
+      return parsed;
+    }
   }
-  if (op == "ping") {
-    parsed.ok = true;
-    parsed.op = Op::Ping;
-    return parsed;
-  }
-  if (op == "metrics") {
-    parsed.ok = true;
-    parsed.op = Op::Metrics;
-    return parsed;
-  }
-  if (op == "stats") {
-    parsed.ok = true;
-    parsed.op = Op::Stats;
-    return parsed;
-  }
-  if (op == "shard_stats") {
-    parsed.ok = true;
-    parsed.op = Op::ShardStats;
-    return parsed;
-  }
-  if (op == "shutdown") {
-    parsed.ok = true;
-    parsed.op = Op::Shutdown;
-    return parsed;
-  }
-  const bool is_mutate = op == "load_suite" || op == "add_workload" ||
-                         op == "drop_workload" || op == "append_samples";
-  if (is_mutate) {
+  if (enum_of(op,
+              {MutateOp::LoadSuite, MutateOp::AddWorkload,
+               MutateOp::DropWorkload, MutateOp::AppendSamples},
+              mutate_op_name, parsed.mutate.op)) {
     parsed.op = Op::Mutate;
-    MutateRequest& mutate = parsed.mutate;
-    mutate.id = parsed.id;
-    mutate.op = op == "load_suite"     ? MutateOp::LoadSuite
-                : op == "add_workload" ? MutateOp::AddWorkload
-                : op == "drop_workload" ? MutateOp::DropWorkload
-                                        : MutateOp::AppendSamples;
-    std::string problem;
-    if (!read_u64(request, "deadline_ms", mutate.deadline_ms, problem)) {
-      return bad_request(parsed.id, problem);
-    }
-    if (const json::Value* events = request.find("events")) {
-      if (!events->is_string()) {
-        return bad_request(parsed.id, "'events' must be a string");
-      }
-      mutate.events = events->string;
-    }
-    if (const json::Value* trace = request.find("trace")) {
-      if (!trace->is_string() ||
-          !parse_hex_u64(trace->string, mutate.trace_id)) {
-        return bad_request(parsed.id, "'trace' must be 16 hex digits");
-      }
-    }
-    const json::Value* suite = request.find("suite");
-    if (!suite || !suite->is_string() || suite->string.empty()) {
-      return bad_request(parsed.id,
-                         "op '" + op + "' requires 'suite' (the resident "
-                         "suite name)");
-    }
-    mutate.suite = suite->string;
-    // Payload CSV is retained raw and parsed engine-side, where the
-    // resident base suite is available for column rearrangement and
-    // delta validation.
-    const json::Value* csv = request.find("csv");
-    if (csv) {
-      if (!csv->is_string()) {
-        return bad_request(parsed.id, "'csv' must be CSV text");
-      }
-      mutate.csv_text = csv->string;
-    }
-    const json::Value* series = request.find("series_csv");
-    if (series) {
-      if (!series->is_string()) {
-        return bad_request(parsed.id, "'series_csv' must be CSV text");
-      }
-      mutate.series_text = series->string;
-    }
-    if ((mutate.op == MutateOp::LoadSuite ||
-         mutate.op == MutateOp::AddWorkload) &&
-        mutate.csv_text.empty()) {
-      return bad_request(parsed.id, "op '" + op + "' requires 'csv'");
-    }
-    if (mutate.op == MutateOp::AppendSamples && mutate.series_text.empty()) {
-      return bad_request(parsed.id, "op '" + op + "' requires 'series_csv'");
-    }
-    if (mutate.op == MutateOp::DropWorkload) {
-      const json::Value* workload = request.find("workload");
-      if (!workload || !workload->is_string() || workload->string.empty()) {
-        return bad_request(parsed.id, "op '" + op + "' requires 'workload'");
-      }
-      mutate.workload = workload->string;
-    }
-    parsed.ok = true;
-    return parsed;
-  }
-  const bool is_job = op == "generate_submit" || op == "job_status" ||
-                      op == "job_watch" || op == "job_cancel" ||
-                      op == "job_list";
-  if (is_job) {
+    parsed.mutate.id = parsed.id;
+    read_mutate(in, op, parsed.mutate);
+  } else if (enum_of(op,
+                     {JobOp::Submit, JobOp::Status, JobOp::Watch,
+                      JobOp::Cancel, JobOp::List},
+                     job_op_name, parsed.job.op)) {
     parsed.op = Op::Job;
-    JobRequest& job = parsed.job;
-    job.id = parsed.id;
-    job.op = op == "generate_submit" ? JobOp::Submit
-             : op == "job_status"    ? JobOp::Status
-             : op == "job_watch"     ? JobOp::Watch
-             : op == "job_cancel"    ? JobOp::Cancel
-                                     : JobOp::List;
-    if (const json::Value* trace = request.find("trace")) {
-      if (!trace->is_string() ||
-          !parse_hex_u64(trace->string, job.trace_id)) {
-        return bad_request(parsed.id, "'trace' must be 16 hex digits");
-      }
-    }
-    if (job.op == JobOp::Submit) {
-      jobs::JobSpec& spec = job.spec;
-      std::string problem;
-      if (!read_u64(request, "instructions", spec.instructions, problem) ||
-          !read_u64(request, "size", spec.target_size, problem) ||
-          !read_u64(request, "candidates", spec.candidates, problem) ||
-          !read_u64(request, "seed", spec.seed, problem)) {
-        return bad_request(parsed.id, problem);
-      }
-      if (spec.instructions == 0) {
-        return bad_request(parsed.id, "field 'instructions' must be >= 1");
-      }
-      if (const json::Value* events = request.find("events")) {
-        if (!events->is_string()) {
-          return bad_request(parsed.id, "'events' must be a string");
-        }
-        spec.events = events->string;
-      }
-      if (const json::Value* client = request.find("client")) {
-        if (!client->is_string()) {
-          return bad_request(parsed.id, "'client' must be a string");
-        }
-        spec.client = client->string;
-      }
-      const json::Value* suite = request.find("suite");
-      const json::Value* csv = request.find("csv");
-      if ((suite != nullptr) == (csv != nullptr)) {
-        return bad_request(parsed.id,
-                           "exactly one of 'suite' or 'csv' is required");
-      }
-      if (suite) {
-        if (!suite->is_string() || suite->string.empty()) {
-          return bad_request(parsed.id, "'suite' must be a suite name");
-        }
-        spec.builtin = suite->string;
-      } else {
-        if (!csv->is_string()) {
-          return bad_request(parsed.id, "'csv' must be CSV text");
-        }
-        spec.csv_text = csv->string;
-        spec.csv_name = "uploaded";
-        if (const json::Value* label = request.find("name")) {
-          if (!label->is_string()) {
-            return bad_request(parsed.id, "'name' must be a string");
-          }
-          spec.csv_name = label->string;
-        }
-        if (const json::Value* series = request.find("series_csv")) {
-          if (!series->is_string()) {
-            return bad_request(parsed.id, "'series_csv' must be CSV text");
-          }
-          spec.series_text = series->string;
-        }
-      }
-    } else if (job.op != JobOp::List) {
-      const json::Value* target = request.find("job");
-      if (!target || !target->is_string() || !valid_job_id(target->string)) {
-        return bad_request(
-            parsed.id, "op '" + op + "' requires 'job' (16 hex digits)");
-      }
-      job.job = target->string;
-      if (job.op == JobOp::Watch) {
-        std::string problem;
-        if (!read_u64(request, "from", job.from, problem)) {
-          return bad_request(parsed.id, problem);
-        }
-      }
-    }
-    parsed.ok = true;
-    return parsed;
+    parsed.job.id = parsed.id;
+    read_job(in, op, parsed.job);
+  } else if (op == "score") {
+    parsed.op = Op::Score;
+    parsed.score.id = parsed.id;
+    read_score(in, parsed.score);
+  } else {
+    in.fail("unknown op '" + op + "'");
   }
-  if (op != "score") {
-    return bad_request(parsed.id, "unknown op '" + op + "'");
-  }
-
-  parsed.op = Op::Score;
-  ScoreRequest& score = parsed.score;
-  score.id = parsed.id;
-
-  std::string problem;
-  if (!read_u64(request, "instructions", score.instructions, problem) ||
-      !read_u64(request, "deadline_ms", score.deadline_ms, problem)) {
-    return bad_request(parsed.id, problem);
-  }
-  if (score.instructions == 0) {
-    return bad_request(parsed.id, "field 'instructions' must be >= 1");
-  }
-
-  if (const json::Value* events = request.find("events")) {
-    if (!events->is_string()) {
-      return bad_request(parsed.id, "'events' must be a string");
-    }
-    score.events = events->string;
-  }
-
-  // Router-forwarded requests carry the router's trace id and content
-  // key; the worker session reuses both instead of deriving its own.
-  if (const json::Value* trace = request.find("trace")) {
-    if (!trace->is_string() ||
-        !parse_hex_u64(trace->string, score.trace_id)) {
-      return bad_request(parsed.id, "'trace' must be 16 hex digits");
-    }
-  }
-  if (const json::Value* key = request.find("key")) {
-    if (!key->is_string() || key->string.size() != 32 ||
-        !parse_hex_u64(key->string.substr(0, 16), score.content_key.hi) ||
-        !parse_hex_u64(key->string.substr(16), score.content_key.lo)) {
-      return bad_request(parsed.id, "'key' must be 32 hex digits");
-    }
-  }
-
-  const json::Value* suite = request.find("suite");
-  const json::Value* csv = request.find("csv");
-  if ((suite != nullptr) == (csv != nullptr)) {
-    return bad_request(parsed.id,
-                       "exactly one of 'suite' or 'csv' is required");
-  }
-  if (suite) {
-    if (!suite->is_string() || suite->string.empty()) {
-      return bad_request(parsed.id, "'suite' must be a suite name");
-    }
-    score.builtin = suite->string;
-    parsed.ok = true;
-    return parsed;
-  }
-
-  if (!csv->is_string()) {
-    return bad_request(parsed.id, "'csv' must be CSV text");
-  }
-  std::string name = "inline";
-  if (const json::Value* label = request.find("name")) {
-    if (!label->is_string()) {
-      return bad_request(parsed.id, "'name' must be a string");
-    }
-    name = label->string;
-  }
-  try {
-    const json::Value* series = request.find("series_csv");
-    if (series && !series->is_string()) {
-      return bad_request(parsed.id, "'series_csv' must be CSV text");
-    }
-    score.data = std::make_shared<const core::CounterMatrix>(
-        series ? core::read_with_series_csv_text(name, csv->string,
-                                                 series->string)
-               : core::read_aggregates_csv_text(name, csv->string));
-    // Retain the raw payload: the content key digests these exact bytes,
-    // and the router forwards them verbatim to its workers.
-    score.csv_name = name;
-    score.csv_text = csv->string;
-    if (series) score.series_text = series->string;
-  } catch (const std::exception& e) {
-    return bad_request(parsed.id, e.what());
-  }
+  if (!in.ok()) return bad_request(parsed.id, in.problem());
   parsed.ok = true;
   return parsed;
 }
 
 std::string serialize_response(const ScoreResponse& response) {
-  std::string out = "{";
-  append_id(out, response.id);
-  if (response.ok) {
-    out += "\"ok\":true,\"cache\":";
-    out += response.cache_hit ? "\"hit\"" : "\"miss\"";
-    if (response.trace_id != 0) {
-      out += ',';
-      append_trace(out, response.trace_id);
-    }
-    out += ",\"report\":";
-    json::append_quoted(out, response.report);
-  } else {
-    out += "\"ok\":false,\"error\":";
-    json::append_quoted(out, response.error);
-    out += ",\"message\":";
-    json::append_quoted(out, response.message);
-    if (response.trace_id != 0) {
-      out += ',';
-      append_trace(out, response.trace_id);
-    }
-  }
-  out += "}\n";
+  if (!response.ok) return error_line(response);
+  std::string out;
+  json::Writer w = open_response(out, response.id, true);
+  write_scored(w, response.cache_hit, response.trace_id, response.report);
+  w.finish();
   return out;
 }
 
 std::string serialize_error(const std::string& id, const std::string& error,
                             const std::string& message) {
-  ScoreResponse response;
-  response.id = id;
-  response.ok = false;
-  response.error = error;
-  response.message = message;
-  return serialize_response(response);
+  return error_line(id, error, message, 0);
 }
 
 std::string serialize_ping(const std::string& id) {
-  std::string out = "{";
-  append_id(out, id);
-  out += "\"ok\":true,\"pong\":true}\n";
+  std::string out;
+  open_response(out, id, true).boolean("pong", true).finish();
   return out;
 }
 
 std::string serialize_metrics(const std::string& id) {
-  std::string out = "{";
-  append_id(out, id);
-  out += "\"ok\":true,\"counters\":{";
-  bool first = true;
+  std::map<std::string, std::uint64_t> counters;
   for (const auto& snapshot : obs::counters_snapshot()) {
-    if (!first) out += ',';
-    first = false;
-    json::append_quoted(out, snapshot.name);
-    out += ':';
-    append_u64(out, snapshot.value);
+    counters.emplace(snapshot.name, snapshot.value);
   }
-  out += "},\"distributions\":{";
-  first = true;
+  std::map<std::string, obs::DistributionStats> distributions;
   for (const auto& snapshot : obs::distributions_snapshot()) {
-    if (!first) out += ',';
-    first = false;
-    json::append_quoted(out, snapshot.name);
-    out += ":{\"count\":";
-    append_u64(out, snapshot.stats.count);
-    out += ",\"min\":";
-    append_double(out, snapshot.stats.min);
-    out += ",\"max\":";
-    append_double(out, snapshot.stats.max);
-    out += ",\"sum\":";
-    append_double(out, snapshot.stats.sum);
-    out += ",\"mean\":";
-    append_double(out, snapshot.stats.mean());
-    out += '}';
+    distributions.emplace(snapshot.name, snapshot.stats);
   }
-  out += "},";
-  append_histograms(out);
-  out += "}\n";
-  return out;
+  return serialize_metrics_merged(id, counters, distributions);
 }
 
 std::string serialize_stats(const std::string& id) {
-  std::string out = "{";
-  append_id(out, id);
-  out += "\"ok\":true,";
-  append_histograms(out);
-  out += "}\n";
+  std::string out;
+  json::Writer w = open_response(out, id, true);
+  write_histograms(w);
+  w.finish();
   return out;
 }
 
 std::string serialize_shutdown(const std::string& id) {
-  std::string out = "{";
-  append_id(out, id);
-  out += "\"ok\":true,\"shutting_down\":true}\n";
+  std::string out;
+  open_response(out, id, true).boolean("shutting_down", true).finish();
   return out;
 }
 
 std::string serialize_mutate_response(const MutateResponse& response) {
-  if (!response.ok) {
-    ScoreResponse error;
-    error.id = response.id;
-    error.ok = false;
-    error.error = response.error;
-    error.message = response.message;
-    error.trace_id = response.trace_id;
-    return serialize_response(error);
-  }
-  std::string out = "{";
-  append_id(out, response.id);
-  out += "\"ok\":true,\"suite\":";
-  json::append_quoted(out, response.suite);
-  out += ",\"version\":";
-  append_u64(out, response.version);
-  out += ",\"cache\":";
-  out += response.cache_hit ? "\"hit\"" : "\"miss\"";
-  if (response.trace_id != 0) {
-    out += ',';
-    append_trace(out, response.trace_id);
-  }
-  out += ",\"report\":";
-  json::append_quoted(out, response.report);
-  out += "}\n";
+  if (!response.ok) return error_line(response);
+  std::string out;
+  json::Writer w = open_response(out, response.id, true);
+  w.str("suite", response.suite).u64("version", response.version);
+  write_scored(w, response.cache_hit, response.trace_id, response.report);
+  w.finish();
   return out;
 }
 
 std::string serialize_mutate_request(const MutateRequest& request) {
-  std::string out = "{\"op\":\"";
-  out += mutate_op_name(request.op);
-  out += "\",";
-  append_id(out, request.id);
-  if (request.trace_id != 0) {
-    append_trace(out, request.trace_id);
-    out += ',';
-  }
-  out += "\"suite\":";
-  json::append_quoted(out, request.suite);
-  out += ",\"events\":";
-  json::append_quoted(out, request.events);
-  if (!request.csv_text.empty()) {
-    out += ",\"csv\":";
-    json::append_quoted(out, request.csv_text);
-  }
-  if (!request.series_text.empty()) {
-    out += ",\"series_csv\":";
-    json::append_quoted(out, request.series_text);
-  }
-  if (!request.workload.empty()) {
-    out += ",\"workload\":";
-    json::append_quoted(out, request.workload);
-  }
-  out += "}\n";
+  std::string out;
+  json::Writer w = open_request(out, mutate_op_name(request.op), request.id,
+                                request.trace_id);
+  w.str("suite", request.suite).str("events", request.events);
+  if (!request.csv_text.empty()) w.str("csv", request.csv_text);
+  if (!request.series_text.empty()) w.str("series_csv", request.series_text);
+  if (!request.workload.empty()) w.str("workload", request.workload);
+  if (request.deadline_ms != 0) w.u64("deadline_ms", request.deadline_ms);
+  w.finish();
   return out;
 }
 
 bool parse_mutate_response(const std::string& line, MutateResponse& out) {
-  json::Value response;
-  try {
-    response = json::parse(line);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!response.is_object()) return false;
-  const json::Value* ok = response.find("ok");
-  if (!ok || (ok->type != json::Value::Type::Bool)) return false;
-  out = MutateResponse{};
-  out.id = id_of(response);
-  out.ok = ok->boolean;
-  if (const json::Value* trace = response.find("trace")) {
-    if (!trace->is_string() || !parse_hex_u64(trace->string, out.trace_id)) {
-      return false;
-    }
-  }
-  if (out.ok) {
-    const json::Value* suite = response.find("suite");
-    const json::Value* version = response.find("version");
-    const json::Value* cache = response.find("cache");
-    const json::Value* report = response.find("report");
-    if (!suite || !suite->is_string() || !version || !version->is_number() ||
-        !cache || !cache->is_string() || !report || !report->is_string()) {
-      return false;
-    }
-    out.suite = suite->string;
-    out.version = static_cast<std::uint64_t>(version->number);
-    out.cache_hit = cache->string == "hit";
-    out.report = report->string;
-  } else {
-    const json::Value* error = response.find("error");
-    const json::Value* message = response.find("message");
-    if (!error || !error->is_string() || !message || !message->is_string()) {
-      return false;
-    }
-    out.error = error->string;
-    out.message = message->string;
-  }
-  return true;
+  return parse_response(line, out, [&out](json::Reader& in) {
+    in.need("suite", out.suite);
+    in.need("version", out.version);
+    read_scored(in, out.cache_hit, out.report);
+  });
 }
 
 std::string serialize_job_response(const JobResponse& response) {
-  if (!response.ok) {
-    ScoreResponse error;
-    error.id = response.id;
-    error.ok = false;
-    error.error = response.error;
-    error.message = response.message;
-    error.trace_id = response.trace_id;
-    return serialize_response(error);
-  }
-  std::string out = "{";
-  append_id(out, response.id);
-  out += "\"ok\":true,";
+  if (!response.ok) return error_line(response);
+  std::string out;
+  json::Writer w = open_response(out, response.id, true);
   if (response.op == JobOp::List) {
-    out += "\"jobs\":[";
-    bool first = true;
+    w.array("jobs");
     for (const jobs::JobStatus& status : response.jobs) {
-      if (!first) out += ',';
-      first = false;
-      out += '{';
-      append_job_status(out, status);
-      out += '}';
+      w.object();
+      write_status(w, status);
+      w.end_object();
     }
-    out += ']';
+    w.end_array();
   } else {
-    append_job_status(out, response.status);
+    write_status(w, response.status);
     if (response.op == JobOp::Submit) {
-      out += ",\"duplicate\":";
-      out += response.duplicate ? "true" : "false";
+      w.boolean("duplicate", response.duplicate);
     }
     if (response.op == JobOp::Watch) {
-      out += ",\"progress\":[";
-      bool first = true;
-      for (const jobs::JobProgress& record : response.progress) {
-        if (!first) out += ',';
-        first = false;
-        out += "{\"seq\":";
-        append_u64(out, record.seq);
-        out += ",\"evaluated\":";
-        append_u64(out, record.evaluated);
-        out += ",\"total\":";
-        append_u64(out, record.total);
-        if (record.best.valid) {
-          out += ',';
-          append_best(out, record.best);
-        }
-        out += '}';
-      }
-      out += "],\"next\":";
-      append_u64(out, response.next);
+      write_progress(w, response.progress);
+      w.u64("next", response.next);
     }
   }
-  if (response.trace_id != 0) {
-    out += ',';
-    append_trace(out, response.trace_id);
-  }
+  write_trace(w, response.trace_id);
   if (response.worker >= 0) {
-    out += ",\"worker\":";
-    append_u64(out, static_cast<std::uint64_t>(response.worker));
+    w.u64("worker", static_cast<std::uint64_t>(response.worker));
   }
-  out += "}\n";
+  w.finish();
   return out;
 }
 
 std::string serialize_job_request(const JobRequest& request) {
-  std::string out = "{\"op\":\"";
-  out += job_op_name(request.op);
-  out += "\",";
-  append_id(out, request.id);
-  if (request.trace_id != 0) {
-    append_trace(out, request.trace_id);
-    out += ',';
-  }
+  std::string out;
+  json::Writer w = open_request(out, job_op_name(request.op), request.id,
+                                request.trace_id);
   if (request.op == JobOp::Submit) {
     const jobs::JobSpec& spec = request.spec;
     // Every job-id-relevant field travels explicitly (no wire defaults):
     // the worker must derive the identical id from the forwarded line.
-    out += "\"events\":";
-    json::append_quoted(out, spec.events);
-    out += ",\"instructions\":";
-    append_u64(out, spec.instructions);
-    out += ",\"size\":";
-    append_u64(out, spec.target_size);
-    out += ",\"candidates\":";
-    append_u64(out, spec.candidates);
-    out += ",\"seed\":";
-    append_u64(out, spec.seed);
-    if (!spec.client.empty()) {
-      out += ",\"client\":";
-      json::append_quoted(out, spec.client);
-    }
-    if (!spec.builtin.empty()) {
-      out += ",\"suite\":";
-      json::append_quoted(out, spec.builtin);
-    } else {
-      out += ",\"name\":";
-      json::append_quoted(out, spec.csv_name);
-      out += ",\"csv\":";
-      json::append_quoted(out, spec.csv_text);
-      if (!spec.series_text.empty()) {
-        out += ",\"series_csv\":";
-        json::append_quoted(out, spec.series_text);
-      }
-    }
+    w.str("events", spec.events)
+        .u64("instructions", spec.instructions)
+        .u64("size", spec.target_size)
+        .u64("candidates", spec.candidates)
+        .u64("seed", spec.seed);
+    if (!spec.client.empty()) w.str("client", spec.client);
+    write_source(w, spec.builtin, spec.csv_name, spec.csv_text,
+                 spec.series_text);
   } else if (request.op != JobOp::List) {
-    out += "\"job\":";
-    json::append_quoted(out, request.job);
-    if (request.op == JobOp::Watch) {
-      out += ",\"from\":";
-      append_u64(out, request.from);
-    }
+    w.str("job", request.job);
+    if (request.op == JobOp::Watch) w.u64("from", request.from);
   }
-  if (out.back() == ',') out.pop_back();  // job_list may carry no fields
-  out += "}\n";
+  w.finish();
   return out;
 }
 
 bool parse_job_response(const std::string& line, JobResponse& out) {
-  json::Value response;
-  try {
-    response = json::parse(line);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!response.is_object()) return false;
-  const json::Value* ok = response.find("ok");
-  if (!ok || (ok->type != json::Value::Type::Bool)) return false;
-  out = JobResponse{};
-  out.id = id_of(response);
-  out.ok = ok->boolean;
-  if (const json::Value* trace = response.find("trace")) {
-    if (!trace->is_string() || !parse_hex_u64(trace->string, out.trace_id)) {
-      return false;
-    }
-  }
-  if (const json::Value* worker = response.find("worker")) {
-    if (!worker->is_number()) return false;
-    out.worker = static_cast<int>(worker->number);
-  }
-  if (!out.ok) {
-    const json::Value* error = response.find("error");
-    const json::Value* message = response.find("message");
-    if (!error || !error->is_string() || !message || !message->is_string()) {
-      return false;
-    }
-    out.error = error->string;
-    out.message = message->string;
-    return true;
-  }
-  if (const json::Value* list = response.find("jobs")) {
-    if (list->type != json::Value::Type::Array) return false;
-    out.op = JobOp::List;
-    for (const json::Value& element : list->elements) {
-      jobs::JobStatus status;
-      if (!element.is_object() || !parse_status_fields(element, status)) {
-        return false;
+  return parse_response(line, out, [&out](json::Reader& in) {
+    in.get("worker", out.worker);
+    if (const std::vector<json::Value>* list = in.array("jobs", false)) {
+      out.op = JobOp::List;
+      for (const json::Value& element : *list) {
+        json::Reader status(element);
+        if (!read_status(status, out.jobs.emplace_back())) {
+          in.fail(status.problem());
+          return;
+        }
       }
-      out.jobs.push_back(std::move(status));
+      return;
     }
-    return true;
-  }
-  if (!parse_status_fields(response, out.status)) return false;
-  if (const json::Value* duplicate = response.find("duplicate")) {
-    if (duplicate->type != json::Value::Type::Bool) return false;
-    out.op = JobOp::Submit;
-    out.duplicate = duplicate->boolean;
-  }
-  if (const json::Value* progress = response.find("progress")) {
-    if (progress->type != json::Value::Type::Array) return false;
-    out.op = JobOp::Watch;
-    for (const json::Value& element : progress->elements) {
-      if (!element.is_object()) return false;
-      const json::Value* seq = element.find("seq");
-      const json::Value* evaluated = element.find("evaluated");
-      const json::Value* total = element.find("total");
-      if (!seq || !seq->is_number() || !evaluated ||
-          !evaluated->is_number() || !total || !total->is_number()) {
-        return false;
-      }
-      jobs::JobProgress record;
-      record.seq = static_cast<std::uint64_t>(seq->number);
-      record.evaluated = static_cast<std::uint64_t>(evaluated->number);
-      record.total = static_cast<std::uint64_t>(total->number);
-      if (const json::Value* best = element.find("best")) {
-        if (!parse_best_object(*best, record.best)) return false;
-      }
-      out.progress.push_back(std::move(record));
+    read_status(in, out.status);
+    if (in.find("duplicate")) {
+      out.op = JobOp::Submit;
+      in.get("duplicate", out.duplicate);
     }
-    const json::Value* next = response.find("next");
-    if (!next || !next->is_number()) return false;
-    out.next = static_cast<std::uint64_t>(next->number);
-  }
-  return true;
+    if (in.find("progress")) {
+      out.op = JobOp::Watch;
+      read_progress(in, out.progress);
+      in.need("next", out.next);
+    }
+  });
 }
 
 std::string serialize_score_request(const ScoreRequest& request) {
-  std::string out = "{\"op\":\"score\",";
-  append_id(out, request.id);
-  if (request.trace_id != 0) {
-    append_trace(out, request.trace_id);
-    out += ',';
-  }
+  std::string out;
+  json::Writer w = open_request(out, "score", request.id, request.trace_id);
   if (!(request.content_key == Key128{})) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64 "%016" PRIx64,
+    char key[40];
+    std::snprintf(key, sizeof key, "%016" PRIx64 "%016" PRIx64,
                   request.content_key.hi, request.content_key.lo);
-    out += "\"key\":\"";
-    out += buf;
-    out += "\",";
+    w.str("key", key);
   }
-  out += "\"events\":";
-  json::append_quoted(out, request.events);
-  if (!request.builtin.empty()) {
-    out += ",\"suite\":";
-    json::append_quoted(out, request.builtin);
-    out += ",\"instructions\":";
-    append_u64(out, request.instructions);
-  } else if (!request.csv_text.empty()) {
-    out += ",\"name\":";
-    json::append_quoted(out, request.csv_name);
-    out += ",\"csv\":";
-    json::append_quoted(out, request.csv_text);
-    if (!request.series_text.empty()) {
-      out += ",\"series_csv\":";
-      json::append_quoted(out, request.series_text);
+  w.str("events", request.events);
+  if (!request.builtin.empty() || !request.csv_text.empty()) {
+    write_source(w, request.builtin, request.csv_name, request.csv_text,
+                 request.series_text);
+    if (!request.builtin.empty()) {
+      w.u64("instructions", request.instructions);
     }
   } else if (request.data) {
     // Direct-API matrix: forwarded as lossless CSV text, so the worker
     // parses back the exact doubles.
-    out += ",\"name\":";
-    json::append_quoted(out, request.data->suite_name());
-    out += ",\"csv\":";
-    json::append_quoted(out, core::write_aggregates_csv_text(*request.data));
-    if (request.data->has_series()) {
-      out += ",\"series_csv\":";
-      json::append_quoted(out, core::write_series_csv_text(*request.data));
-    }
+    const core::CounterMatrix& data = *request.data;
+    write_source(w, "", data.suite_name(),
+                 core::write_aggregates_csv_text(data),
+                 data.has_series() ? core::write_series_csv_text(data) : "");
   } else {
     throw std::runtime_error("request has nothing to score");
   }
-  out += "}\n";
+  if (request.deadline_ms != 0) w.u64("deadline_ms", request.deadline_ms);
+  w.finish();
   return out;
 }
 
 bool parse_score_response(const std::string& line, ScoreResponse& out) {
-  json::Value response;
-  try {
-    response = json::parse(line);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!response.is_object()) return false;
-  const json::Value* ok = response.find("ok");
-  if (!ok || (ok->type != json::Value::Type::Bool)) return false;
-  out = ScoreResponse{};
-  out.id = id_of(response);
-  out.ok = ok->boolean;
-  if (const json::Value* trace = response.find("trace")) {
-    if (!trace->is_string() || !parse_hex_u64(trace->string, out.trace_id)) {
-      return false;
-    }
-  }
-  if (out.ok) {
-    const json::Value* cache = response.find("cache");
-    const json::Value* report = response.find("report");
-    if (!cache || !cache->is_string() || !report || !report->is_string()) {
-      return false;
-    }
-    out.cache_hit = cache->string == "hit";
-    out.report = report->string;
-  } else {
-    const json::Value* error = response.find("error");
-    const json::Value* message = response.find("message");
-    if (!error || !error->is_string() || !message || !message->is_string()) {
-      return false;
-    }
-    out.error = error->string;
-    out.message = message->string;
-  }
-  return true;
+  return parse_response(line, out, [&out](json::Reader& in) {
+    read_scored(in, out.cache_hit, out.report);
+  });
 }
 
 std::string serialize_shard_stats(const std::string& id,
                                   const std::string& mode,
                                   const std::vector<WorkerStat>& workers) {
-  std::string out = "{";
-  append_id(out, id);
-  out += "\"ok\":true,\"mode\":";
-  json::append_quoted(out, mode);
-  out += ",\"workers\":[";
-  bool first = true;
+  std::string out;
+  json::Writer w = open_response(out, id, true);
+  w.str("mode", mode).array("workers");
   for (const WorkerStat& stat : workers) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"worker\":";
-    append_u64(out, stat.worker);
-    out += ",\"pid\":";
-    char pid_buf[24];
-    std::snprintf(pid_buf, sizeof pid_buf, "%" PRId64, stat.pid);
-    out += pid_buf;
-    out += ",\"alive\":";
-    out += stat.alive ? "true" : "false";
-    out += ",\"restarts\":";
-    append_u64(out, stat.restarts);
-    out += ",\"forwarded\":";
-    append_u64(out, stat.forwarded);
-    out += '}';
+    w.object()
+        .u64("worker", stat.worker)
+        .i64("pid", stat.pid)
+        .boolean("alive", stat.alive)
+        .u64("restarts", stat.restarts)
+        .u64("forwarded", stat.forwarded)
+        .end_object();
   }
-  out += "]}\n";
+  w.end_array().finish();
   return out;
 }
 
@@ -1077,72 +651,46 @@ std::string serialize_metrics_merged(
     const std::string& id,
     const std::map<std::string, std::uint64_t>& counters,
     const std::map<std::string, obs::DistributionStats>& distributions) {
-  std::string out = "{";
-  append_id(out, id);
-  out += "\"ok\":true,\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) out += ',';
-    first = false;
-    json::append_quoted(out, name);
-    out += ':';
-    append_u64(out, value);
-  }
-  out += "},\"distributions\":{";
-  first = true;
+  std::string out;
+  json::Writer w = open_response(out, id, true);
+  w.object("counters");
+  for (const auto& [name, value] : counters) w.u64(name, value);
+  w.end_object().object("distributions");
   for (const auto& [name, stats] : distributions) {
-    if (!first) out += ',';
-    first = false;
-    json::append_quoted(out, name);
-    out += ":{\"count\":";
-    append_u64(out, stats.count);
-    out += ",\"min\":";
-    append_double(out, stats.min);
-    out += ",\"max\":";
-    append_double(out, stats.max);
-    out += ",\"sum\":";
-    append_double(out, stats.sum);
-    out += ",\"mean\":";
-    append_double(out, stats.mean());
-    out += '}';
+    w.object(name)
+        .u64("count", stats.count)
+        .f64("min", stats.min)
+        .f64("max", stats.max)
+        .f64("sum", stats.sum)
+        .f64("mean", stats.mean())
+        .end_object();
   }
-  out += "},";
-  append_histograms(out);
-  out += "}\n";
+  w.end_object();
+  write_histograms(w);
+  w.finish();
   return out;
 }
 
 std::string serialize_worker_hello(std::size_t worker, std::int64_t pid) {
-  std::string out = "{\"hello\":\"perspector-worker/1\",\"worker\":";
-  append_u64(out, worker);
-  out += ",\"pid\":";
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, pid);
-  out += buf;
-  out += "}\n";
+  std::string out;
+  json::Writer(out)
+      .str("hello", kWorkerHello)
+      .u64("worker", worker)
+      .i64("pid", pid)
+      .finish();
   return out;
 }
 
 bool parse_worker_hello(const std::string& line, std::size_t& worker,
                         std::int64_t& pid) {
   json::Value hello;
-  try {
-    hello = json::parse(line);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (!hello.is_object()) return false;
-  const json::Value* tag = hello.find("hello");
-  const json::Value* index = hello.find("worker");
-  const json::Value* pid_value = hello.find("pid");
-  if (!tag || !tag->is_string() || tag->string != "perspector-worker/1" ||
-      !index || !index->is_number() || !pid_value ||
-      !pid_value->is_number()) {
-    return false;
-  }
-  worker = static_cast<std::size_t>(index->number);
-  pid = static_cast<std::int64_t>(pid_value->number);
-  return true;
+  if (!parse_line(line, hello)) return false;
+  json::Reader in(hello);
+  std::string tag;
+  in.need("hello", tag);
+  in.need("worker", worker);
+  in.need("pid", pid);
+  return in.ok() && tag == kWorkerHello;
 }
 
 }  // namespace perspector::serve

@@ -74,6 +74,13 @@
 // overloaded (admission queue full), timeout (queue-wait deadline
 // exceeded), internal (scoring failure). The `report` string of an ok
 // score response is byte-identical to the one-shot CLI output.
+//
+// Each message has one writer and one reader below, built on json::Writer
+// and json::Reader (json.hpp). They share the response head (id, ok,
+// trace, and error + message through one error writer) and the source
+// fields ("suite" | "name" + "csv" + "series_csv") of score requests and
+// generate_submit. A number that is not an integer inside its field's
+// range is rejected ("field '<key>' must be a non-negative integer").
 #pragma once
 
 #include <cstdint>
@@ -124,7 +131,8 @@ std::string serialize_error(const std::string& id, const std::string& error,
 std::string serialize_ping(const std::string& id);
 
 /// Snapshot of every registered obs counter, distribution and histogram
-/// as one JSON object (the CLI --metrics-json flag emits the same bytes).
+/// as one JSON object: serialize_metrics_merged over the local registry
+/// (the CLI --metrics-json flag emits the same bytes).
 std::string serialize_metrics(const std::string& id);
 
 /// Full histogram snapshots (count/min/max/mean + p50/p90/p99/p999) for
@@ -147,19 +155,21 @@ std::string serialize_job_response(const JobResponse& response);
 
 // ---- Router tier ----------------------------------------------------------
 
-/// Serializes a score request as one protocol line for forwarding to a
-/// worker process. The line carries the router-assigned trace id and
-/// content key; an in-memory matrix travels as lossless (%.17g) CSV text.
-/// Throws std::runtime_error when the request has nothing to score.
+/// Serializes a score request as one protocol line, for the client and
+/// for forwarding to a worker process. The line carries the trace id and
+/// content key when set, and "deadline_ms" when non-zero; an in-memory
+/// matrix travels as lossless (%.17g) CSV text. Throws
+/// std::runtime_error when the request has nothing to score.
 std::string serialize_score_request(const ScoreRequest& request);
 
 /// Parses one worker response line back into a ScoreResponse (the exact
 /// inverse of serialize_response). False on malformed input.
 bool parse_score_response(const std::string& line, ScoreResponse& out);
 
-/// Serializes a mutate request as one protocol line for forwarding to
-/// the worker that owns the suite name. The payload CSV travels
-/// verbatim; the router's trace id rides along like score forwarding.
+/// Serializes a mutate request as one protocol line, for the client and
+/// for forwarding to the worker that owns the suite name. The payload CSV
+/// travels verbatim; the trace id and a non-zero "deadline_ms" ride along
+/// like score forwarding.
 std::string serialize_mutate_request(const MutateRequest& request);
 
 /// Inverse of serialize_mutate_response. False on malformed input.

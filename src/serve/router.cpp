@@ -138,27 +138,27 @@ bool read_line_timeout(int fd, std::string& buffer, std::string& line,
   }
 }
 
-ScoreResponse unavailable_response(const ScoreRequest& request,
-                                   std::string message) {
+ScoreResponse error_response(const ScoreRequest& request, std::string error,
+                             std::string message) {
   ScoreResponse response;
   response.id = request.id;
-  response.ok = false;
-  response.error = "unavailable";
-  response.message = std::move(message);
-  response.trace_id = request.trace_id;
-  return response;
-}
-
-MutateResponse mutate_error_response(const MutateRequest& request,
-                                     std::string error, std::string message) {
-  MutateResponse response;
-  response.id = request.id;
-  response.suite = request.suite;
   response.ok = false;
   response.error = std::move(error);
   response.message = std::move(message);
   response.trace_id = request.trace_id;
   return response;
+}
+
+/// The line forwarded to a worker. It never carries the deadline: the
+/// router's own session has already applied it, so a forwarded line is
+/// the same bytes whatever deadline the client asked for.
+template <typename Request>
+std::string worker_line(const Request& request,
+                        std::string (*serialize)(const Request&)) {
+  if (request.deadline_ms == 0) return serialize(request);
+  Request forwarded = request;
+  forwarded.deadline_ms = 0;
+  return serialize(forwarded);
 }
 
 /// The shard key of a resident suite: its *name*, not its content — a
@@ -388,14 +388,9 @@ ScoreResponse Router::forward(const ScoreRequest& request,
   obs::LatencyTimer timer(forward_histogram());
   std::string line;
   try {
-    line = serialize_score_request(request);
+    line = worker_line(request, serialize_score_request);
   } catch (const std::exception& error) {
-    ScoreResponse response;
-    response.id = request.id;
-    response.error = "bad_request";
-    response.message = error.what();
-    response.trace_id = request.trace_id;
-    return response;
+    return error_response(request, "bad_request", error.what());
   }
   // Bounded re-shard loop: each failed attempt either respawned the
   // worker or moved on to the next alive one, so workers+1 attempts
@@ -408,13 +403,9 @@ ScoreResponse Router::forward(const ScoreRequest& request,
     if (exchange(static_cast<std::size_t>(shard), line, response_line, sent)) {
       ScoreResponse response;
       if (!parse_score_response(response_line, response)) {
-        ScoreResponse malformed;
-        malformed.id = request.id;
-        malformed.error = "internal";
-        malformed.message = "malformed response from worker " +
-                            std::to_string(shard);
-        malformed.trace_id = request.trace_id;
-        return malformed;
+        return error_response(
+            request, "internal",
+            "malformed response from worker " + std::to_string(shard));
       }
       forwarded_counter().increment();
       workers_[static_cast<std::size_t>(shard)]->forwarded.fetch_add(
@@ -426,14 +417,15 @@ ScoreResponse Router::forward(const ScoreRequest& request,
       // answering: the outcome is unknown, so answer honestly instead
       // of retrying into a double execution.
       unavailable_counter().increment();
-      return unavailable_response(
-          request, "worker " + std::to_string(shard) +
+      return error_response(
+          request, "unavailable",
+          "worker " + std::to_string(shard) +
                        " crashed while serving the request");
     }
     // Not sent: the worker was dead before it saw anything — re-shard.
   }
   unavailable_counter().increment();
-  return unavailable_response(request, "no worker available");
+  return error_response(request, "unavailable", "no worker available");
 }
 
 ScoreResponse Router::cache_hit_response(const ScoreRequest& request,
@@ -495,7 +487,8 @@ std::vector<ScoreResponse> Router::score_batch(
       const int shard = shard_of(name_key);
       if (shard < 0) {
         unavailable_counter().increment();
-        responses[i] = unavailable_response(req, "no worker available");
+        responses[i] =
+            error_response(req, "unavailable", "no worker available");
         continue;
       }
       by_shard[static_cast<std::size_t>(shard)].push_back(
@@ -518,7 +511,7 @@ std::vector<ScoreResponse> Router::score_batch(
     const int shard = shard_of(key);
     if (shard < 0) {
       unavailable_counter().increment();
-      responses[i] = unavailable_response(req, "no worker available");
+      responses[i] = error_response(req, "unavailable", "no worker available");
       continue;
     }
     by_shard[static_cast<std::size_t>(shard)].push_back(
@@ -540,13 +533,35 @@ std::vector<ScoreResponse> Router::score_batch(
         // responses instead of writing the whole group up front, so the
         // two directions of the pipe can never both fill and deadlock.
         constexpr std::size_t kWindow = 8;
+        // Reads the answer to the oldest in-flight entry; false when the
+        // worker died instead.
+        const auto read_answer = [&] {
+          std::string response_line;
+          if (!read_line(worker.fd, worker.rx, response_line)) {
+            worker_lost_inflight = true;
+            handle_death_locked(shard);
+            return false;
+          }
+          worker.forwarded.fetch_add(1, std::memory_order_relaxed);
+          const auto& entry = group[answered++];
+          ScoreResponse& response = responses[entry.index];
+          if (parse_score_response(response_line, response)) {
+            forwarded_counter().increment();
+          } else {
+            response = error_response(
+                entry.request, "internal",
+                "malformed response from worker " + std::to_string(shard));
+          }
+          return true;
+        };
         bool channel_ok = true;
         while (channel_ok && (answered < written || written < group.size())) {
           while (channel_ok && written < group.size() &&
                  written - answered < kWindow) {
             std::string line;
             try {
-              line = serialize_score_request(group[written].request);
+              line = worker_line(group[written].request,
+                                 serialize_score_request);
             } catch (const std::exception&) {
               // Unserializable requests never reach the wire; stop the
               // pipeline here and answer the rest individually below.
@@ -559,52 +574,12 @@ std::vector<ScoreResponse> Router::score_batch(
             }
             ++written;
           }
-          if (answered == written) break;
-          std::string response_line;
-          if (!read_line(worker.fd, worker.rx, response_line)) {
-            worker_lost_inflight = true;
-            handle_death_locked(shard);
-            break;
-          }
-          worker.forwarded.fetch_add(1, std::memory_order_relaxed);
-          ScoreResponse response;
-          if (!parse_score_response(response_line, response)) {
-            response = ScoreResponse{};
-            response.id = group[answered].request.id;
-            response.error = "internal";
-            response.message =
-                "malformed response from worker " + std::to_string(shard);
-            response.trace_id = group[answered].request.trace_id;
-          } else {
-            forwarded_counter().increment();
-          }
-          responses[group[answered].index] = std::move(response);
-          ++answered;
+          if (answered == written || !read_answer()) break;
         }
         // A write failure with responses still in flight: drain them if
-        // the worker survives long enough, otherwise the read loop above
-        // already recorded the death.
-        while (!worker_lost_inflight && answered < written) {
-          std::string response_line;
-          if (!read_line(worker.fd, worker.rx, response_line)) {
-            worker_lost_inflight = true;
-            handle_death_locked(shard);
-            break;
-          }
-          worker.forwarded.fetch_add(1, std::memory_order_relaxed);
-          ScoreResponse response;
-          if (!parse_score_response(response_line, response)) {
-            response = ScoreResponse{};
-            response.id = group[answered].request.id;
-            response.error = "internal";
-            response.message =
-                "malformed response from worker " + std::to_string(shard);
-            response.trace_id = group[answered].request.trace_id;
-          } else {
-            forwarded_counter().increment();
-          }
-          responses[group[answered].index] = std::move(response);
-          ++answered;
+        // the worker survives long enough, otherwise read_answer already
+        // recorded the death.
+        while (!worker_lost_inflight && answered < written && read_answer()) {
         }
       }
     }
@@ -613,9 +588,10 @@ std::vector<ScoreResponse> Router::score_batch(
       // outcomes — structured unavailable, never a silent retry.
       for (std::size_t i = answered; i < written; ++i) {
         unavailable_counter().increment();
-        responses[group[i].index] = unavailable_response(
-            group[i].request, "worker " + std::to_string(shard) +
-                                  " crashed while serving the request");
+        responses[group[i].index] = error_response(
+            group[i].request, "unavailable",
+            "worker " + std::to_string(shard) +
+                " crashed while serving the request");
       }
     }
     // Entries never sent (dead worker, serialization failure, write
@@ -642,9 +618,9 @@ MutateResponse Router::mutate(const MutateRequest& request) {
   obs::LatencyTimer timer(forward_histogram());
   std::string line;
   try {
-    line = serialize_mutate_request(request);
+    line = worker_line(request, serialize_mutate_request);
   } catch (const std::exception& error) {
-    return mutate_error_response(request, "bad_request", error.what());
+    return mutate_error(request, "bad_request", error.what());
   }
   const Key128 key = resident_name_key(request.suite);
   // Same bounded re-shard loop as forward(): a failed attempt either
@@ -660,9 +636,9 @@ MutateResponse Router::mutate(const MutateRequest& request) {
                  sent)) {
       MutateResponse response;
       if (!parse_mutate_response(response_line, response)) {
-        return mutate_error_response(request, "internal",
-                                     "malformed response from worker " +
-                                         std::to_string(shard));
+        return mutate_error(
+            request, "internal",
+            "malformed response from worker " + std::to_string(shard));
       }
       forwarded_counter().increment();
       workers_[static_cast<std::size_t>(shard)]->forwarded.fetch_add(
@@ -674,13 +650,13 @@ MutateResponse Router::mutate(const MutateRequest& request) {
       // answering: the suite's state is unknown (and gone with the
       // process) — answer honestly, never retry into a double apply.
       unavailable_counter().increment();
-      return mutate_error_response(request, "unavailable",
-                                   "worker " + std::to_string(shard) +
-                                       " crashed while serving the request");
+      return mutate_error(request, "unavailable",
+                          "worker " + std::to_string(shard) +
+                              " crashed while serving the request");
     }
   }
   unavailable_counter().increment();
-  return mutate_error_response(request, "unavailable", "no worker available");
+  return mutate_error(request, "unavailable", "no worker available");
 }
 
 JobResponse Router::job(const JobRequest& request) {
@@ -794,28 +770,21 @@ std::string Router::metrics_line(const std::string& id) {
     } catch (const std::exception&) {
       continue;
     }
-    if (const json::Value* object = reply.find("counters");
-        object && object->is_object()) {
+    if (const json::Value* object = reply.find("counters")) {
       for (const auto& [name, value] : object->members) {
-        if (value.is_number()) {
-          counters[name] += static_cast<std::uint64_t>(value.number);
-        }
+        std::uint64_t count = 0;
+        if (json::get(value, count)) counters[name] += count;
       }
     }
-    if (const json::Value* object = reply.find("distributions");
-        object && object->is_object()) {
+    if (const json::Value* object = reply.find("distributions")) {
       for (const auto& [name, value] : object->members) {
-        const json::Value* count = value.find("count");
-        const json::Value* min = value.find("min");
-        const json::Value* max = value.find("max");
-        const json::Value* sum = value.find("sum");
-        if (!count || !min || !max || !sum) continue;
+        json::Reader in(value);
         obs::DistributionStats incoming;
-        incoming.count = static_cast<std::uint64_t>(count->number);
-        incoming.min = min->number;
-        incoming.max = max->number;
-        incoming.sum = sum->number;
-        if (incoming.count == 0) continue;
+        in.need("count", incoming.count);
+        in.need("min", incoming.min);
+        in.need("max", incoming.max);
+        in.need("sum", incoming.sum);
+        if (!in.ok() || incoming.count == 0) continue;
         obs::DistributionStats& merged = distributions[name];
         if (merged.count == 0) {
           merged = incoming;

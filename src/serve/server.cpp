@@ -185,6 +185,24 @@ class Session {
     }
   }
 
+  /// Admits one more score or mutation under --max-queue. A full queue
+  /// answers the entry `overloaded` instead (and queues that answer).
+  bool admit(QueueEntry& entry, const std::string& id) {
+    if (pending_scores_ >= options_.max_queue) {
+      rejected_counter().increment();
+      entry.kind = QueueEntry::Kind::Ready;
+      entry.response = serialize_error(
+          id, "overloaded",
+          "admission queue full (max-queue=" +
+              std::to_string(options_.max_queue) + ")");
+      pending_.push_back(std::move(entry));
+      return false;
+    }
+    admitted_counter().increment();
+    ++pending_scores_;
+    return true;
+  }
+
   void enqueue_line(std::string line) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) return;
@@ -242,18 +260,7 @@ class Session {
       case Op::Mutate: {
         // Mutations share the scores' admission budget: they occupy the
         // same queue and are answered in the same arrival order.
-        if (pending_scores_ >= options_.max_queue) {
-          rejected_counter().increment();
-          entry.kind = QueueEntry::Kind::Ready;
-          entry.response = serialize_error(
-              parsed.id, "overloaded",
-              "admission queue full (max-queue=" +
-                  std::to_string(options_.max_queue) + ")");
-          pending_.push_back(std::move(entry));
-          return;
-        }
-        admitted_counter().increment();
-        ++pending_scores_;
+        if (!admit(entry, parsed.id)) return;
         entry.kind = QueueEntry::Kind::Mutate;
         entry.mutate = std::move(parsed.mutate);
         ++sequence_;
@@ -277,18 +284,7 @@ class Session {
         break;
       }
       case Op::Score: {
-        if (pending_scores_ >= options_.max_queue) {
-          rejected_counter().increment();
-          entry.kind = QueueEntry::Kind::Ready;
-          entry.response = serialize_error(
-              parsed.id, "overloaded",
-              "admission queue full (max-queue=" +
-                  std::to_string(options_.max_queue) + ")");
-          pending_.push_back(std::move(entry));
-          return;
-        }
-        admitted_counter().increment();
-        ++pending_scores_;
+        if (!admit(entry, parsed.id)) return;
         entry.kind = QueueEntry::Kind::Score;
         entry.request = std::move(parsed.score);
         // The content key is computed once here and reused everywhere
@@ -311,10 +307,21 @@ class Session {
     pending_.push_back(std::move(entry));
   }
 
-  bool expired(const QueueEntry& entry) const {
+  /// True, with the `timeout` answer stored, when the entry waited out
+  /// its deadline in the queue.
+  bool time_out(QueueEntry& entry, std::uint64_t trace_id) {
     if (entry.deadline_ms == 0) return false;
     const auto waited = now_() - entry.enqueued;
-    return waited > std::chrono::milliseconds(entry.deadline_ms);
+    if (waited <= std::chrono::milliseconds(entry.deadline_ms)) return false;
+    timeouts_counter().increment();
+    ScoreResponse timed_out;
+    timed_out.id = entry.id;
+    timed_out.error = "timeout";
+    timed_out.message = "request waited past its deadline of " +
+                        std::to_string(entry.deadline_ms) + " ms";
+    timed_out.trace_id = trace_id;
+    entry.response = serialize_response(timed_out);
+    return true;
   }
 
   /// Serves the front of the queue: one batch of score requests (bounded
@@ -351,16 +358,7 @@ class Session {
       QueueEntry& entry = pending_[i];
       if (entry.kind == QueueEntry::Kind::Mutate) {
         --pending_scores_;
-        if (expired(entry)) {
-          timeouts_counter().increment();
-          ScoreResponse timed_out;
-          timed_out.id = entry.id;
-          timed_out.error = "timeout";
-          timed_out.message = "request waited past its deadline of " +
-                              std::to_string(entry.deadline_ms) + " ms";
-          timed_out.trace_id = entry.mutate.trace_id;
-          entry.response = serialize_response(timed_out);
-        } else {
+        if (!time_out(entry, entry.mutate.trace_id)) {
           const MutateResponse mutated = engine_.mutate(entry.mutate);
           entry.response = serialize_mutate_response(mutated);
           ScoreResponse proxy;  // the slow-request log's common shape
@@ -375,16 +373,8 @@ class Session {
       }
       if (entry.kind != QueueEntry::Kind::Score) continue;
       --pending_scores_;
-      if (expired(entry)) {
-        timeouts_counter().increment();
+      if (time_out(entry, entry.request.trace_id)) {
         entry.kind = QueueEntry::Kind::Ready;
-        ScoreResponse timed_out;
-        timed_out.id = entry.id;
-        timed_out.error = "timeout";
-        timed_out.message = "request waited past its deadline of " +
-                            std::to_string(entry.deadline_ms) + " ms";
-        timed_out.trace_id = entry.request.trace_id;
-        entry.response = serialize_response(timed_out);
         continue;
       }
       batch.push_back(entry.request);

@@ -812,5 +812,107 @@ TEST(ServeWirePins, BadRequestMessages) {
   EXPECT_EQ(parse_request_line(R"({"id":"q","op":"dance"})").id, "q");
 }
 
+// ---- numeric decoding -------------------------------------------------------
+//
+// A JSON number is a double; converting one outside the target integer's
+// range is undefined behaviour (it aborts a -fsanitize=float-cast-overflow
+// build). Every decoder must reject such values instead.
+
+TEST(ServeNumericDecoding, IntegersMustFitTheirTarget) {
+  const auto number = [](double value) {
+    json::Value v;
+    v.type = json::Value::Type::Number;
+    v.number = value;
+    return v;
+  };
+  std::uint64_t u64 = 7;
+  EXPECT_TRUE(json::get(number(18446744073709549568.0), u64));  // < 2^64
+  EXPECT_EQ(u64, 18446744073709549568ull);
+  EXPECT_FALSE(json::get(number(18446744073709551616.0), u64));  // 2^64
+  EXPECT_FALSE(json::get(number(1e300), u64));
+  EXPECT_FALSE(json::get(number(-1.0), u64));
+  EXPECT_FALSE(json::get(number(0.5), u64));
+  int small = 7;
+  EXPECT_TRUE(json::get(number(2147483647.0), small));
+  EXPECT_EQ(small, 2147483647);
+  EXPECT_FALSE(json::get(number(2147483648.0), small));
+  EXPECT_FALSE(json::get(number(1e12), small));
+  std::int64_t signed64 = 7;
+  EXPECT_FALSE(json::get(number(9223372036854775808.0), signed64));  // 2^63
+  EXPECT_EQ(signed64, 7);
+}
+
+TEST(ServeNumericDecoding, RequestsRejectOutOfRangeIntegers) {
+  for (const char* line :
+       {R"({"suite":"nbench","instructions":1e30})",
+        R"({"suite":"nbench","instructions":18446744073709551616})",
+        R"({"suite":"nbench","deadline_ms":1e300})",
+        R"({"op":"load_suite","suite":"s","csv":"x","deadline_ms":1e300})",
+        R"({"op":"generate_submit","suite":"n","seed":1e20})",
+        R"({"op":"job_watch","job":"0123456789abcdef","from":-1e30})"}) {
+    const ParsedRequest parsed = parse_request_line(line);
+    EXPECT_FALSE(parsed.ok) << line;
+    EXPECT_NE(parsed.message.find("must be a non-negative integer"),
+              std::string::npos)
+        << line << " -> " << parsed.message;
+  }
+  const ParsedRequest largest = parse_request_line(
+      R"({"suite":"nbench","instructions":18446744073709549568})");
+  ASSERT_TRUE(largest.ok) << largest.message;
+  EXPECT_EQ(largest.score.instructions, 18446744073709549568ull);
+}
+
+TEST(ServeNumericDecoding, ResponseDecodersRejectOutOfRangeIntegers) {
+  MutateResponse mutate;
+  EXPECT_FALSE(parse_mutate_response(
+      R"({"ok":true,"suite":"s","version":-1,"cache":"hit","report":""})",
+      mutate));
+  const std::string status =
+      R"("job":"0123456789abcdef","state":"running","client":"",)"
+      R"("resumed":false)";
+  JobResponse job;
+  EXPECT_FALSE(parse_job_response(
+      "{\"ok\":true," + status + ",\"evaluated\":-3,\"total\":8}", job));
+  EXPECT_FALSE(parse_job_response(
+      "{\"ok\":true," + status + ",\"evaluated\":1,\"total\":1e30}", job));
+  EXPECT_FALSE(parse_job_response("{\"ok\":true," + status +
+                                      ",\"evaluated\":1,\"total\":8,"
+                                      "\"worker\":1e12}",
+                                  job));
+  EXPECT_FALSE(parse_job_response(
+      "{\"ok\":true," + status +
+          ",\"evaluated\":1,\"total\":8,\"best\":{\"candidate\":1e30,"
+          "\"deviation_pct\":1,\"per_score_deviation_pct\":[],"
+          "\"indices\":[],\"subset\":[]}}",
+      job));
+  EXPECT_FALSE(parse_job_response(
+      "{\"ok\":true," + status +
+          ",\"evaluated\":1,\"total\":8,\"best\":{\"candidate\":1,"
+          "\"deviation_pct\":1,\"per_score_deviation_pct\":[],"
+          "\"indices\":[-1],\"subset\":[]}}",
+      job));
+  EXPECT_FALSE(parse_job_response(
+      "{\"ok\":true," + status +
+          ",\"evaluated\":1,\"total\":8,\"progress\":[{\"seq\":1e30,"
+          "\"evaluated\":1,\"total\":8}],\"next\":2}",
+      job));
+  ASSERT_TRUE(parse_job_response("{\"ok\":true," + status +
+                                     ",\"evaluated\":1,\"total\":8,"
+                                     "\"worker\":2147483647}",
+                                 job));
+  EXPECT_EQ(job.worker, 2147483647);
+
+  std::size_t worker = 0;
+  std::int64_t pid = 0;
+  EXPECT_FALSE(parse_worker_hello(
+      R"({"hello":"perspector-worker/1","worker":1e20,"pid":1})", worker, pid));
+  EXPECT_FALSE(parse_worker_hello(
+      R"({"hello":"perspector-worker/1","worker":1,"pid":1e19})", worker, pid));
+  ASSERT_TRUE(parse_worker_hello(
+      R"({"hello":"perspector-worker/1","worker":2,"pid":4242})", worker, pid));
+  EXPECT_EQ(worker, 2u);
+  EXPECT_EQ(pid, 4242);
+}
+
 }  // namespace
 }  // namespace perspector::serve

@@ -685,29 +685,30 @@ int cmd_client(const Args& args) {
       if ((suite ? 1 : 0) + (csv ? 1 : 0) != 1) {
         throw UsageError("'--submit' needs exactly one of --suite or --csv");
       }
+      jobs::JobSpec& spec = job.spec;
       if (suite) {
-        job.suite = *suite;
+        spec.builtin = *suite;
         if (const auto n = args.get("instructions")) {
-          job.instructions = parse_u64(*n, "instructions");
+          spec.instructions = parse_u64(*n, "instructions");
         }
       } else {
-        job.name = *csv;
-        job.csv_text = read_file(*csv);
+        spec.csv_name = *csv;
+        spec.csv_text = read_file(*csv);
         if (const auto series = args.get("series")) {
-          job.series_text = read_file(*series);
+          spec.series_text = read_file(*series);
         }
       }
-      job.events = args.get("events").value_or("all");
-      job.size = parse_u64(args.get("size").value_or("8"), "size");
-      job.candidates =
+      spec.events = args.get("events").value_or("all");
+      spec.target_size = parse_u64(args.get("size").value_or("8"), "size");
+      spec.candidates =
           parse_u64(args.get("candidates").value_or("64"), "candidates");
-      if (job.candidates == 0) {
+      if (spec.candidates == 0) {
         throw UsageError("option '--candidates' must be >= 1");
       }
       if (const auto seed = args.get("seed")) {
-        job.seed = parse_u64(*seed, "seed");
+        spec.seed = parse_u64(*seed, "seed");
       }
-      job.client = args.get("client").value_or("");
+      spec.client = args.get("client").value_or("");
     }
     if (const auto n = args.get("watch-interval-ms")) {
       job.watch_interval_ms = parse_u64(*n, "watch-interval-ms");
@@ -737,13 +738,14 @@ int cmd_client(const Args& args) {
   const auto input = args.get("input");
   const auto series = args.get("series");
   if (mutate_flags == 1) {
-    serve::ClientMutate mutate;
+    serve::MutateRequest mutate;
     mutate.events = args.get("events").value_or("all");
     if (const auto n = args.get("deadline-ms")) {
       mutate.deadline_ms = parse_u64(*n, "deadline-ms");
     }
     if (load_suite || add_workload) {
-      mutate.op = load_suite ? "load_suite" : "add_workload";
+      mutate.op = load_suite ? serve::MutateOp::LoadSuite
+                             : serve::MutateOp::AddWorkload;
       mutate.suite = load_suite ? *load_suite : *add_workload;
       if (!csv) {
         throw UsageError("'--" + std::string(load_suite ? "load-suite"
@@ -753,7 +755,7 @@ int cmd_client(const Args& args) {
       mutate.csv_text = read_file(*csv);
       if (series) mutate.series_text = read_file(*series);
     } else if (drop_workload) {
-      mutate.op = "drop_workload";
+      mutate.op = serve::MutateOp::DropWorkload;
       mutate.suite = *drop_workload;
       const auto victim = args.get("workload");
       if (!victim) {
@@ -761,7 +763,7 @@ int cmd_client(const Args& args) {
       }
       mutate.workload = *victim;
     } else {
-      mutate.op = "append_samples";
+      mutate.op = serve::MutateOp::AppendSamples;
       mutate.suite = *append_samples;
       if (!series) {
         throw UsageError("'--append-samples' needs --series <payload>");
@@ -780,7 +782,7 @@ int cmd_client(const Args& args) {
     throw UsageError("--suite, --csv and --input are mutually exclusive");
   }
   if (suite || csv_scores || input) {
-    serve::ClientScore score;
+    serve::ScoreRequest score;
     if (suite) {
       score.builtin = *suite;
       if (const auto n = args.get("instructions")) {
@@ -790,11 +792,11 @@ int cmd_client(const Args& args) {
       // Stream the file through the ingest pipeline, then forward the
       // parsed matrix as lossless (%.17g) CSV — byte-identical scoring
       // to --csv, without the server re-validating a giant raw payload.
-      score.name = *input;
+      score.csv_name = *input;
       score.csv_text = core::write_aggregates_csv_text(
           core::read_aggregates_csv(*input, *input));
     } else {
-      score.name = *csv;
+      score.csv_name = *csv;
       score.csv_text = read_file(*csv);
       if (series) score.series_text = read_file(*series);
     }
