@@ -417,10 +417,9 @@ ScoreResponse Router::forward(const ScoreRequest& request,
       // answering: the outcome is unknown, so answer honestly instead
       // of retrying into a double execution.
       unavailable_counter().increment();
-      return error_response(
-          request, "unavailable",
-          "worker " + std::to_string(shard) +
-                       " crashed while serving the request");
+      return error_response(request, "unavailable",
+                            "worker " + std::to_string(shard) +
+                                " crashed while serving the request");
     }
     // Not sent: the worker was dead before it saw anything — re-shard.
   }
